@@ -169,7 +169,7 @@ def _cmd_table(parser, args):
     needs_q = "q" in (first, second)
     if needs_q and args.n > 7:
         parser.error("the chain statistic q is supported for n <= 7")
-    records = tamari.interval_statistics(args.n, threads=args.threads)
+    records = tamari.interval_statistics(args.n)
     if args.format == "csv":
         _write(tamari.stats_to_csv(records), args.output)
         return 0
@@ -244,7 +244,6 @@ def build_parser():
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--pair", default="dy,dybar",
                          help="two statistic names, comma separated (default dy,dybar)")
-    p_table.add_argument("--threads", type=int, default=1)
     common(p_table, ("text", "json", "csv"))
 
     p_trees = sub.add_parser("trees", help="enumerate trees of a given size")
@@ -263,8 +262,6 @@ def main(argv=None):
         parser.error("truncation order N must satisfy 1 <= N <= 12")
     if args.command == "verify" and not 1 <= args.max_n <= 8:
         parser.error("--max-n must satisfy 1 <= max-n <= 8")
-    if args.command == "table" and not 1 <= args.threads <= 64:
-        parser.error("--threads must satisfy 1 <= threads <= 64")
     handlers = {
         "poly": _cmd_poly,
         "series": _cmd_series,

@@ -80,7 +80,7 @@ class SystemConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
-        if not isinstance(self.N, int) or self.N < 1:
+        if isinstance(self.N, bool) or not isinstance(self.N, int) or self.N < 1:
             raise ValueError(f"truncation order must be a positive integer, got {self.N!r}")
 
     @property
@@ -116,92 +116,68 @@ class SolverOutput:
         return self._at_unit(self.indecomposable)
 
 
-def _solve_two_catalytic(config):
+def solve(config):
+    """Iterate the chosen system to its truncation order.
+
+    Order k of the right-hand sides only consumes order k-1 of the interval
+    series, so a single forward pass fills both unknowns exactly.  The five
+    systems share this loop and differ only in the split variable (the last
+    catalytic one: v for full, q and bicubic; u for canopy and sync), the
+    bridge weight (ybar for full and q; RR for canopy; 1 otherwise) and the
+    ``inner`` kernel.
+    """
     mode = config.mode
     names = config.universe
     N = config.N
+    split = config.catalytic[-1]
     zero = MultiPoly.zero(names)
     u = MultiPoly.variable(names, "u")
-    v = MultiPoly.variable(names, "v")
-    full_like = mode in (Mode.FULL, Mode.Q_ANALOGUE)
-    if full_like:
+    split_var = MultiPoly.variable(names, split)
+    weight = 1
+    if mode in (Mode.FULL, Mode.Q_ANALOGUE):
         x = MultiPoly.variable(names, "x")
         y = MultiPoly.variable(names, "y")
-        ybar = MultiPoly.variable(names, "ybar")
+        weight = MultiPoly.variable(names, "ybar")
+        if mode is Mode.Q_ANALOGUE:
+            qu = MultiPoly.monomial(names, {"q": 1, "u": 1})
+    elif mode is Mode.CANOPY:
+        ll = MultiPoly.variable(names, "LL")
+        weight = MultiPoly.variable(names, "RR")
     phi = [zero] * N
     theta = [zero] * N
-    phi_vv = [zero] * N
+    bridge = [zero] * N
     for k in range(1, N):
         prev = phi[k - 1]
-        p_u1 = prev.substitute({"v": 1})
-        p_11 = p_u1.substitute({"u": 1})
-        p_uu = prev.substitute({"v": u})
-        dd1 = divided_difference(p_u1, p_11, "u")
+        if split == "v":
+            p_u1 = prev.substitute({"v": 1})
+            p_uu = prev.substitute({"v": u})
+        else:
+            p_u1 = p_uu = prev
+        dd1 = divided_difference(p_u1, p_u1.substitute({"u": 1}), "u")
         if mode is Mode.FULL:
             dd2 = divided_difference(p_uu, p_u1, "u")
             inner = y * (u * dd1) + x * y * (u * dd2) + (x - x * y) * p_uu
         elif mode is Mode.Q_ANALOGUE:
             dd2 = divided_difference(p_uu, p_u1, "u")
-            qu = MultiPoly.monomial(names, {"q": 1, "u": 1})
             inner = (y * (u * dd1.substitute({"u": qu}))
                      + x * y * (u * dd2.substitute({"u": qu}))
                      + ((x - x * y) * p_uu.substitute({"u": qu})).exact_div("q"))
+        elif mode is Mode.CANOPY:
+            inner = ll * (u * dd1) + (1 - ll) * p_uu
+        elif mode is Mode.SYNCHRONOUS_RESTRICTED:
+            inner = u * dd1 - p_uu
         else:  # bicubic restriction: x, y, ybar pinned to 1
             inner = u * dd1 + p_uu
         if k == 1:
             inner = inner + u
-        theta[k] = v * inner
+        theta[k] = split_var * inner
         conv = zero
         for i in range(1, k):
-            if not (phi_vv[i].is_zero() or theta[k - i].is_zero()):
-                conv = conv + phi_vv[i] * theta[k - i]
-        tail = conv.exact_div("v")
-        phi[k] = theta[k] + (ybar * tail if full_like else tail)
-        phi_vv[k] = phi[k].substitute({"u": v})
+            if not (bridge[i].is_zero() or theta[k - i].is_zero()):
+                conv = conv + bridge[i] * theta[k - i]
+        phi[k] = theta[k] + weight * conv.exact_div(split)
+        bridge[k] = phi[k].substitute({"u": split_var}) if split == "v" else phi[k]
     return SolverOutput(config, SeriesT(names, N, phi), SeriesT(names, N, theta))
-
-
-def _solve_one_catalytic(config):
-    mode = config.mode
-    names = config.universe
-    N = config.N
-    zero = MultiPoly.zero(names)
-    one = MultiPoly.one(names)
-    u = MultiPoly.variable(names, "u")
-    if mode is Mode.CANOPY:
-        ll = MultiPoly.variable(names, "LL")
-        rr = MultiPoly.variable(names, "RR")
-    phi = [zero] * N
-    theta = [zero] * N
-    for k in range(1, N):
-        prev = phi[k - 1]
-        p_1 = prev.substitute({"u": 1})
-        dd = divided_difference(prev, p_1, "u")
-        if mode is Mode.CANOPY:
-            inner = ll * (u * dd) + (one - ll) * prev
-        else:  # synchronous restriction
-            inner = u * dd - prev
-        if k == 1:
-            inner = inner + u
-        theta[k] = u * inner
-        conv = zero
-        for i in range(1, k):
-            if not (phi[i].is_zero() or theta[k - i].is_zero()):
-                conv = conv + phi[i] * theta[k - i]
-        tail = conv.exact_div("u")
-        phi[k] = theta[k] + (rr * tail if mode is Mode.CANOPY else tail)
-    return SolverOutput(config, SeriesT(names, N, phi), SeriesT(names, N, theta))
-
-
-def solve(config):
-    """Iterate the chosen system to its truncation order.
-
-    Order k of the right-hand sides only consumes order k-1 of the interval
-    series, so a single forward pass fills both unknowns exactly.
-    """
-    if config.mode in (Mode.FULL, Mode.Q_ANALOGUE, Mode.BICUBIC_RESTRICTED):
-        return _solve_two_catalytic(config)
-    return _solve_one_catalytic(config)
 
 
 def check_alternative_decomposition(output):

@@ -21,12 +21,10 @@ indecomposable factors (trees whose root has a leaf as left child); the
 sizes give a composition of n which coarsens weakly along the order.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import NamedTuple
 
-from .polynomial import MultiPoly
-from .poset import INTERVAL_VARS, FinitePoset
+from .poset import FinitePoset
 
 LEAF = None
 
@@ -79,10 +77,10 @@ def _all_trees(n):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_trees(n):
     """All trees of size n, sorted by their text encoding."""
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"bad tree size {n!r}")
     return tuple(sorted(_all_trees(n), key=encode))
 
@@ -230,9 +228,9 @@ class TamariLattice:
         return f"TamariLattice(n={self.n}, trees={len(self.trees)})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def tamari_lattice(n):
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"lattice size must be a positive integer, got {n!r}")
     trees = enumerate_trees(n)
     index = {t: i for i, t in enumerate(trees)}
@@ -336,30 +334,19 @@ def _interval_statistics_cached(n, with_q):
     return tuple(out)
 
 
-def interval_statistics(n, with_q=None, threads=1):
+def interval_statistics(n, with_q=None):
     """Statistics of every interval of the size-n lattice, in (lo, hi) order.
 
     Degree statistics support n <= 9; the longest-chain statistic q is
-    heavier and is restricted to n <= 7 (the default computes it exactly in
-    that range).  ``threads`` splits the per-lo work across a thread pool;
-    the output does not depend on it.
+    restricted to n <= 7, where the default computes it.
     """
-    if not isinstance(n, int) or not 1 <= n <= 9:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 9:
         raise ValueError(f"interval statistics support 1 <= n <= 9, got {n!r}")
     if with_q is None:
         with_q = n <= 7
     if with_q and n > 7:
         raise ValueError(f"the chain statistic q is supported for n <= 7, got n={n}")
-    if threads <= 1:
-        return _interval_statistics_cached(n, with_q)
-    lat = tamari_lattice(n)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = pool.map(lambda lo: _records_for_lo(lat, lo, with_q),
-                          range(len(lat.trees)))
-        out = []
-        for chunk in chunks:
-            out.extend(chunk)
-        return tuple(out)
+    return _interval_statistics_cached(n, with_q)
 
 
 def stats_to_csv(records):
@@ -371,14 +358,10 @@ def stats_to_csv(records):
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def interval_valence_polynomial(n):
     """The four-variable interval enumerator of the size-n lattice."""
-    terms = {}
-    for r in interval_statistics(n):
-        key = (r.dx, r.dy, r.dybar, r.dxbar)
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(INTERVAL_VARS, terms)
+    return tamari_lattice(n).poset.interval_valence_polynomial()
 
 
 @lru_cache(maxsize=None)

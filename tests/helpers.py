@@ -44,6 +44,11 @@ def synchronous_count(n):
     return 2 * factorial(3 * n) // (factorial(2 * n + 1) * factorial(n + 1))
 
 
+def bicubic_count(n):
+    """Closed form 3 * 2^(n-1) (2n)!/(n! (n+2)!): 1, 3, 12, 56, 288, ..."""
+    return 3 * 2 ** (n - 1) * factorial(2 * n) // (factorial(n) * factorial(n + 2))
+
+
 def motzkin(n):
     vals = [1]
     for k in range(n):

@@ -60,8 +60,8 @@ def report(label, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def full_n8():
-    return solve(SystemConfig(Mode.FULL, 8))
+def full_n9():
+    return solve(SystemConfig(Mode.FULL, 9))
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +69,9 @@ def full_n10():
     return solve(SystemConfig(Mode.FULL, 10))
 
 
-def test_criterion_01_printed_series(full_n8):
+def test_criterion_01_printed_series(full_n9):
     start = time.perf_counter()
-    phi, theta = full_n8.intervals, full_n8.indecomposable
+    phi, theta = full_n9.intervals, full_n9.indecomposable
     ok = (
         phi.coeffs[1] == PHI_1
         and phi.coeffs[2] == PHI_2
@@ -79,17 +79,17 @@ def test_criterion_01_printed_series(full_n8):
         and theta.coeffs[1] == PHI_1
         and theta.coeffs[2] == THETA_2
         and theta.coeffs[3] == THETA_3
-        and full_n8.intervals_at_unit().coeffs[3] == PHI_UNIT_3
-        and full_n8.indecomposable_at_unit().coeffs[3] == THETA_UNIT_3
+        and full_n9.intervals_at_unit().coeffs[3] == PHI_UNIT_3
+        and full_n9.indecomposable_at_unit().coeffs[3] == THETA_UNIT_3
     )
     report("criterion 01 printed-series", ok, f"{time.perf_counter() - start:.2f}s")
 
 
-def test_criterion_02_route_equivalence(full_n8):
+def test_criterion_02_route_equivalence(full_n9):
     start = time.perf_counter()
-    unit = full_n8.intervals_at_unit()
-    bad = [n for n in range(1, 8) if unit.coeffs[n] != brute_force_weights(n)]
-    report("criterion 02 route-equivalence n=1..7", not bad,
+    unit = full_n9.intervals_at_unit()
+    bad = [n for n in range(1, 9) if unit.coeffs[n] != brute_force_weights(n)]
+    report("criterion 02 route-equivalence n=1..8", not bad,
            f"{time.perf_counter() - start:.2f}s")
 
 
@@ -179,7 +179,7 @@ def test_criterion_07_bicubic_bound():
            f"{time.perf_counter() - start:.2f}s")
 
 
-def test_criterion_08_canopy_tables(full_n8):
+def test_criterion_08_canopy_tables(full_n9):
     start = time.perf_counter()
     ok = True
     for n in range(1, 8):
@@ -189,7 +189,7 @@ def test_criterion_08_canopy_tables(full_n8):
         ok = ok and by_degree == by_canopy
         if n <= 5:
             ok = ok and table_to_matrix(by_degree, n) == CANOPY_MATRICES[n]
-    canopy_out = solve(SystemConfig(Mode.CANOPY, 8))
+    canopy_out = solve(SystemConfig(Mode.CANOPY, 9))
     target = ("u", "LL", "RR")
     binding = {
         "x": 1,
@@ -197,7 +197,7 @@ def test_criterion_08_canopy_tables(full_n8):
         "y": MultiPoly.variable(target, "LL"),
         "ybar": MultiPoly.variable(target, "RR"),
     }
-    ok = ok and full_n8.intervals.substitute(binding, target) == canopy_out.intervals
+    ok = ok and full_n9.intervals.substitute(binding, target) == canopy_out.intervals
     report("criterion 08 canopy tables + specialized full system", ok,
            f"{time.perf_counter() - start:.2f}s")
 

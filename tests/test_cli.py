@@ -145,12 +145,6 @@ def test_table_csv_records(capsys):
     ]
 
 
-def test_table_threads_do_not_change_output(capsys):
-    _, serial = run(capsys, "table", "--n", "4", "--format", "csv")
-    _, threaded = run(capsys, "table", "--n", "4", "--format", "csv", "--threads", "3")
-    assert serial == threaded
-
-
 def test_table_q_pair(capsys):
     code, out = run(capsys, "table", "--n", "3", "--pair", "q,dy", "--format", "json")
     assert code == 0

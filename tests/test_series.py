@@ -29,7 +29,7 @@ from intervalence.series import (
 )
 from intervalence.tamari import is_indecomposable
 
-from helpers import synchronous_count
+from helpers import bicubic_count, synchronous_count
 
 FULL_VARS = ("u", "v", "x", "y", "ybar")
 
@@ -245,9 +245,9 @@ def test_canopy_system_counts_canopy_letters():
 # -------------------------------------------------------- restricted systems
 
 def test_synchronous_counts_and_residual():
-    out = solve(SystemConfig(Mode.SYNCHRONOUS_RESTRICTED, 8))
+    out = solve(SystemConfig(Mode.SYNCHRONOUS_RESTRICTED, 30))
     counts = out.intervals_at_unit().constant_values()
-    assert counts[1:] == [synchronous_count(n) for n in range(1, 8)]
+    assert counts[1:] == [synchronous_count(n) for n in range(1, 30)]
     assert residual(out.intervals_at_unit(), SYNC_RESIDUAL_COEFFS).is_zero()
 
 
@@ -261,9 +261,9 @@ def test_synchronous_series_matches_enumeration():
 
 
 def test_bicubic_counts_and_residual():
-    out = solve(SystemConfig(Mode.BICUBIC_RESTRICTED, 8))
+    out = solve(SystemConfig(Mode.BICUBIC_RESTRICTED, 30))
     counts = out.intervals_at_unit().constant_values()
-    assert counts[1:] == [1, 3, 12, 56, 288, 1584, 9152]
+    assert counts[1:] == [bicubic_count(n) for n in range(1, 30)]
     assert residual(out.intervals_at_unit(), BICUBIC_RESIDUAL_COEFFS).is_zero()
 
 

@@ -16,7 +16,9 @@ import random
 import pytest
 
 from intervalence import (
+    Mode,
     MultiPoly,
+    SystemConfig,
     canopy,
     composition,
     decode,
@@ -278,6 +280,23 @@ def test_interval_statistics_validation():
         interval_statistics(8, with_q=True)
 
 
+def full_system(n):
+    return SystemConfig(Mode.FULL, n)
+
+
+@pytest.mark.parametrize("build", [
+    enumerate_trees,
+    tamari_lattice,
+    interval_statistics,
+    interval_valence_polynomial,
+    full_system,
+], ids=lambda f: f.__name__)
+def test_bool_sizes_rejected(build):
+    build(1)  # a cached size 1 must not answer for True
+    with pytest.raises(ValueError):
+        build(True)
+
+
 def test_interval_statistics_q_is_longest_chain():
     # (minimum, maximum) of the pentagon: longest saturated chain 4<3<1<0
     recs = {(r.lo, r.hi): r for r in interval_statistics(3)}
@@ -297,10 +316,6 @@ def test_interval_statistics_without_q():
     recs = interval_statistics(4, with_q=False)
     assert all(r.q is None for r in recs)
     assert len(recs) == interval_count(4)
-
-
-def test_threaded_statistics_match_serial():
-    assert interval_statistics(4, threads=3) == interval_statistics(4)
 
 
 def test_reversal_acts_on_degree_quadruples():
@@ -354,6 +369,15 @@ def test_interval_valence_polynomial_matches_generic_poset_route():
     for n in range(1, 6):
         lat = tamari_lattice(n)
         assert interval_valence_polynomial(n) == lat.poset.interval_valence_polynomial()
+
+
+def test_interval_valence_polynomial_matches_statistics_records():
+    for n in range(1, 7):
+        terms = {}
+        for r in interval_statistics(n):
+            key = (r.dx, r.dy, r.dybar, r.dxbar)
+            terms[key] = terms.get(key, 0) + 1
+        assert interval_valence_polynomial(n) == MultiPoly(INTERVAL_VARS, terms)
 
 
 def test_interval_valence_polynomial_total_mass():
