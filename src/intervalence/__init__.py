@@ -17,8 +17,9 @@ from .series import (Mode, SolverOutput, SystemConfig,
 from .tamari import (TamariLattice, canopy, composition, decode, encode,
                      enumerate_trees, interval_canopy_word,
                      interval_statistics, interval_valence_polynomial,
-                     is_synchronous, left_border_factors, reverse,
-                     rotation_covers, tamari_lattice)
+                     is_synchronous, iter_interval_statistics,
+                     left_border_factors, reverse, rotation_covers,
+                     tamari_lattice)
 from .verify import CheckReport, run_suites, summarize_reports
 
 __version__ = "0.1.0"
@@ -31,7 +32,8 @@ __all__ = [
     "check_bridge_identity", "residual", "solve",
     "TamariLattice", "canopy", "composition", "decode", "encode",
     "enumerate_trees", "interval_canopy_word", "interval_statistics",
-    "interval_valence_polynomial", "is_synchronous", "left_border_factors",
+    "interval_valence_polynomial", "is_synchronous", "iter_interval_statistics",
+    "left_border_factors",
     "reverse", "rotation_covers", "tamari_lattice",
     "CheckReport", "run_suites", "summarize_reports",
     "__version__",

@@ -8,7 +8,8 @@ Subcommands:
   truncated series; restricted modes also report the algebraic residual.
 - ``verify``: run the verification suites and summarize the reports.
 - ``table``: joint distribution of two interval statistics; csv output emits
-  the per-interval records instead of the aggregate.
+  the per-interval records instead of the aggregate.  Every format streams
+  the records, so none is held in memory.
 - ``trees``: enumerate the trees of a given size with canopy and
   left-border composition.
 
@@ -35,6 +36,16 @@ def _write(text, path):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+
+
+def _write_lines(lines, path):
+    """Stream ``lines`` out; same bytes as ``_write("\\n".join(lines) + "\\n", path)``."""
+    if path:
+        with open(path, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    else:
+        sys.stdout.writelines(line + "\n" for line in lines)
+        print()
 
 
 def _json_dump(obj):
@@ -169,21 +180,22 @@ def _cmd_table(parser, args):
     needs_q = "q" in (first, second)
     if needs_q and args.n > 7:
         parser.error("the chain statistic q is supported for n <= 7")
-    records = tamari.interval_statistics(args.n)
     if args.format == "csv":
-        _write(tamari.stats_to_csv(records), args.output)
+        _write_lines(tamari.csv_lines(tamari.iter_interval_statistics(args.n)), args.output)
         return 0
+    records = tamari.iter_interval_statistics(args.n, with_q=needs_q)
     table = verify.distribution_table(records, first, second)
+    total = sum(table.values())
     size = max(max(i for i, _ in table), max(j for _, j in table)) + 1
     matrix = verify.table_to_matrix(table, size)
     if args.format == "json":
         _write(_json_dump({"n": args.n, "pair": [first, second],
-                           "matrix": matrix, "total": len(records)}), args.output)
+                           "matrix": matrix, "total": total}), args.output)
     else:
         lines = [f"intervals of the size-{args.n} lattice by ({first}, {second}); "
                  f"{first} rightward from 0, {second} upward from 0"]
         lines += _matrix_lines(matrix)
-        lines.append(f"total {len(records)}")
+        lines.append(f"total {total}")
         _write("\n".join(lines), args.output)
     return 0
 

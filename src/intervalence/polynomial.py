@@ -121,7 +121,9 @@ class MultiPoly:
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = MultiPoly.constant(self.vars, other)
         self._check_universe(other)
         out = dict(self.terms)
@@ -139,7 +141,9 @@ class MultiPoly:
         return MultiPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = MultiPoly.constant(self.vars, other)
         return self + (-other)
 
@@ -147,7 +151,9 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, int):
+                return NotImplemented
             if not other:
                 return MultiPoly.zero(self.vars)
             return MultiPoly._raw(self.vars, {e: c * other for e, c in self.terms.items()})
@@ -180,6 +186,8 @@ class MultiPoly:
         """Coefficient of the monomial given as a name -> exponent dict."""
         exp = [0] * len(self.vars)
         for name, e in exponents.items():
+            if name not in self.vars:
+                raise ValueError(f"variable {name!r} not in universe {self.vars}")
             exp[self.vars.index(name)] = e
         return self.terms.get(tuple(exp), 0)
 

@@ -28,6 +28,8 @@ Two weight enumerators are attached to a poset P:
   ``DD_P(a, a, abar, abar) = D_{Int(P)}(a, abar)``.
 """
 
+from collections import Counter
+
 from .polynomial import MultiPoly
 
 VALENCE_VARS = ("a", "abar")
@@ -207,12 +209,67 @@ class FinitePoset:
         return MultiPoly(VALENCE_VARS, terms)
 
     def interval_valence_polynomial(self):
-        """``DD_P(x, y, ybar, xbar)``: sum over intervals of the degree monomials."""
-        terms = {}
-        for iv in self.intervals():
-            key = self.interval_degrees(iv)
-            terms[key] = terms.get(key, 0) + 1
-        return MultiPoly(INTERVAL_VARS, terms)
+        """``DD_P(x, y, ybar, xbar)``: sum over intervals of the degree monomials.
+
+        Counts the packed degree keys of ``_interval_keys``, so no interval
+        is materialised; ``interval_degrees`` stays the per-interval
+        definition the kernel is tested against.
+        """
+        width = self._key_width()
+        counts = Counter()
+        for _, keys in self._interval_keys(width):
+            counts.update(keys.values())
+        return MultiPoly(INTERVAL_VARS,
+                         {unpack_degrees(k, width): c for k, c in counts.items()})
+
+    def _key_width(self):
+        """Bits per field of a packed degree key: enough for the largest degree."""
+        return max(map(len, self._upper + self._lower), default=0).bit_length()
+
+    def _interval_keys(self, width):
+        """The interval kernel: for each ``lo``, yield ``(lo, keys)`` where
+        ``keys`` maps every ``hi >= lo`` to its packed ``(dx, dy, dybar, dxbar)``
+        (see ``unpack_degrees``); ``keys`` is not ordered by ``hi``.
+
+        ``dx`` counts the up-sets of the upper covers of ``lo`` that contain
+        ``hi``: the up-sets are summed in a bit-sliced counter, one bitset per
+        binary digit, which splits ``up[lo]`` into one level set per value of
+        ``dx``.  ``dxbar`` is the popcount of the lower covers of ``hi``
+        inside ``up[lo]``.
+        """
+        up, upper = self._up, self._upper
+        low = [0] * self.m
+        for a, b in self.covers:
+            low[b] |= 1 << a
+        dy_field = [len(u) << 2 * width for u in upper]
+        for lo in range(self.m):
+            ups = up[lo]
+            planes = []
+            for c in upper[lo]:
+                carry = up[c]
+                for i, plane in enumerate(planes):
+                    planes[i] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                if carry:
+                    planes.append(carry)
+            base = len(self._lower[lo]) << width
+            keys = {}
+            for dx in range(1 << len(planes)):
+                level = ups
+                for i, plane in enumerate(planes):
+                    level &= plane if dx >> i & 1 else ~plane
+                if not level:
+                    continue
+                head = dx << 3 * width | base
+                # bin() once per level: each `x & -x` step would copy the bitset
+                bits = bin(level)[:1:-1]
+                hi = bits.find("1")
+                while hi >= 0:
+                    keys[hi] = head | dy_field[hi] | (low[hi] & ups).bit_count()
+                    hi = bits.find("1", hi + 1)
+            yield lo, keys
 
     def to_json(self):
         return {"m": self.m, "covers": [list(c) for c in self.covers]}
@@ -220,6 +277,12 @@ class FinitePoset:
     @classmethod
     def from_json(cls, data):
         return cls(data["m"], [tuple(c) for c in data["covers"]])
+
+
+def unpack_degrees(key, width):
+    """``(dx, dy, dybar, dxbar)`` from a packed key of ``_interval_keys``."""
+    mask = (1 << width) - 1
+    return (key >> 3 * width, key >> 2 * width & mask, key >> width & mask, key & mask)
 
 
 def _element_profiles(p):

@@ -24,7 +24,7 @@ sizes give a composition of n which coarsens weakly along the order.
 from functools import lru_cache
 from typing import NamedTuple
 
-from .poset import FinitePoset
+from .poset import FinitePoset, unpack_degrees
 
 LEAF = None
 
@@ -290,12 +290,12 @@ class IntervalStat(NamedTuple):
 CSV_HEADER = "n,lo,hi,dx,dy,dybar,dxbar,q,ll,rr,sync"
 
 
-def _longest_chain_from(poset, lo):
-    dist = [-1] * poset.m
-    dist[lo] = 0
-    for v in poset.topological_order():
-        if dist[v] < 0:
-            continue
+def _longest_chain_from(poset, his, rank):
+    """Longest saturated chain length to each element of ``his``, the up-set
+    of some ``lo``, from ``lo``.  Every such chain lies inside the up-set, so
+    the walk visits only ``his``, in topological order (``rank``)."""
+    dist = dict.fromkeys(his, 0)
+    for v in sorted(his, key=rank.__getitem__):
         base = dist[v] + 1
         for w in poset.upper_covers(v):
             if dist[w] < base:
@@ -303,64 +303,85 @@ def _longest_chain_from(poset, lo):
     return dist
 
 
-def _records_for_lo(lat, lo, with_q):
+def _records(lat, with_q):
     poset = lat.poset
     n = lat.n
-    dist = _longest_chain_from(poset, lo) if with_q else None
-    word_lo = lat.canopies[lo]
-    out = []
-    for hi in poset.up_set(lo):
-        dx, dy, dybar, dxbar = poset.interval_degrees((lo, hi))
-        word_hi = lat.canopies[hi]
-        ll = rr = 0
-        for a, b in zip(word_lo, word_hi):
-            if a == "L" and b == "L":
-                ll += 1
-            elif a == "R" and b == "R":
-                rr += 1
-        out.append(IntervalStat(
-            n, lo, hi, dx, dy, dybar, dxbar,
-            dist[hi] if with_q else None,
-            ll - 1, rr - 1, word_lo == word_hi))
-    return out
+    width = poset._key_width()
+    degrees = {}
+    # canopy words as bitmasks with R = 1
+    canopy_bits = [sum(1 << i for i, c in enumerate(word) if c == "R")
+                   for word in lat.canopies]
+    rank = [0] * poset.m
+    for i, v in enumerate(poset.topological_order()):
+        rank[v] = i
+    for lo, keys in poset._interval_keys(width):
+        his = sorted(keys)
+        dist = _longest_chain_from(poset, his, rank) if with_q else None
+        clo = canopy_bits[lo]
+        for hi in his:
+            key = keys[hi]
+            deg = degrees.get(key)
+            if deg is None:
+                deg = degrees[key] = unpack_degrees(key, width)
+            chi = canopy_bits[hi]
+            yield IntervalStat(n, lo, hi, *deg, dist[hi] if with_q else None,
+                               n - (clo | chi).bit_count(), (clo & chi).bit_count() - 1,
+                               clo == chi)
 
 
-@lru_cache(maxsize=None)
-def _interval_statistics_cached(n, with_q):
-    lat = tamari_lattice(n)
-    out = []
-    for lo in range(len(lat.trees)):
-        out.extend(_records_for_lo(lat, lo, with_q))
-    return tuple(out)
-
-
-def interval_statistics(n, with_q=None):
-    """Statistics of every interval of the size-n lattice, in (lo, hi) order.
-
-    Degree statistics support n <= 9; the longest-chain statistic q is
-    restricted to n <= 7, where the default computes it.
-    """
+def _check_statistics_args(n, with_q):
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 9:
         raise ValueError(f"interval statistics support 1 <= n <= 9, got {n!r}")
     if with_q is None:
         with_q = n <= 7
     if with_q and n > 7:
         raise ValueError(f"the chain statistic q is supported for n <= 7, got n={n}")
-    return _interval_statistics_cached(n, with_q)
+    return with_q
+
+
+@lru_cache(maxsize=None)
+def _interval_statistics_cached(n, with_q):
+    return tuple(_records(tamari_lattice(n), with_q))
+
+
+def interval_statistics(n, with_q=None):
+    """Statistics of every interval of the size-n lattice, in (lo, hi) order.
+
+    Degree statistics support n <= 9; the longest-chain statistic q is
+    restricted to n <= 7, where the default computes it.  The records are
+    read off the poset's interval kernel (``FinitePoset._interval_keys``):
+    the four cover counts from up-set bitsets, ``ll``/``rr``/``sync`` from
+    canopy bitmasks.  The tuple is cached; ``iter_interval_statistics``
+    yields the same records without keeping them, which is how the ``table``
+    command streams its output.
+    """
+    return _interval_statistics_cached(n, _check_statistics_args(n, with_q))
+
+
+def iter_interval_statistics(n, with_q=None):
+    """The records of ``interval_statistics`` as an uncached iterator, for
+    streaming consumers such as the ``table`` command."""
+    with_q = _check_statistics_args(n, with_q)
+    return _records(tamari_lattice(n), with_q)
+
+
+def csv_lines(records):
+    """The CSV header, then one line per record; no line terminators."""
+    yield CSV_HEADER
+    for r in records:
+        q = "" if r.q is None else str(r.q)
+        yield (f"{r.n},{r.lo},{r.hi},{r.dx},{r.dy},{r.dybar},{r.dxbar},"
+               f"{q},{r.ll},{r.rr},{int(r.sync)}")
 
 
 def stats_to_csv(records):
-    lines = [CSV_HEADER]
-    for r in records:
-        q = "" if r.q is None else str(r.q)
-        lines.append(f"{r.n},{r.lo},{r.hi},{r.dx},{r.dy},{r.dybar},{r.dxbar},"
-                     f"{q},{r.ll},{r.rr},{int(r.sync)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(csv_lines(records)) + "\n"
 
 
 @lru_cache(maxsize=None, typed=True)
 def interval_valence_polynomial(n):
-    """The four-variable interval enumerator of the size-n lattice."""
+    """The four-variable interval enumerator of the size-n lattice, counted
+    by the poset's interval kernel without building any interval record."""
     return tamari_lattice(n).poset.interval_valence_polynomial()
 
 

@@ -1,8 +1,10 @@
 """Shared test utilities: random Hasse diagrams and closed-form oracles."""
 
+from collections import Counter
 from math import comb, factorial
 
-from intervalence import FinitePoset
+from intervalence import FinitePoset, MultiPoly
+from intervalence.poset import INTERVAL_VARS
 
 
 def random_poset(rng, max_m=6):
@@ -28,6 +30,12 @@ def random_poset(rng, max_m=6):
             if rel[i][j] and not any(rel[i][k] and rel[k][j] for k in range(m)):
                 covers.append((i, j))
     return FinitePoset(m, covers)
+
+
+def interval_degree_histogram(p):
+    """Oracle for the interval kernel: ``DD_P`` summed one interval at a
+    time from ``interval_degrees`` over ``intervals()``."""
+    return MultiPoly(INTERVAL_VARS, Counter(p.interval_degrees(iv) for iv in p.intervals()))
 
 
 def catalan(n):

@@ -6,7 +6,7 @@ import pytest
 
 from intervalence import MultiPoly, interval_statistics
 from intervalence.cli import main
-from intervalence.tamari import CSV_HEADER, interval_valence_polynomial
+from intervalence.tamari import CSV_HEADER, interval_valence_polynomial, stats_to_csv
 
 
 def run(capsys, *argv):
@@ -143,6 +143,17 @@ def test_table_csv_records(capsys):
         "2,1,0,1,0,0,1,1,0,0,0",
         "2,1,1,0,1,0,0,0,1,0,1",
     ]
+
+
+def test_table_csv_bytes_match_stats_to_csv(tmp_path, capsys):
+    # the streamed rows keep the bytes of the whole-text writer: stdout ends
+    # with print's extra newline, an --output file does not
+    text = stats_to_csv(interval_statistics(4))
+    code, out = run(capsys, "table", "--n", "4", "--format", "csv")
+    assert code == 0 and out == text + "\n"
+    path = tmp_path / "table.csv"
+    assert main(["table", "--n", "4", "--format", "csv", "--output", str(path)]) == 0
+    assert path.read_text() == text
 
 
 def test_table_q_pair(capsys):

@@ -137,6 +137,24 @@ def test_exact_div_and_coefficient():
     assert p.coefficient({"x": 5}) == 0
 
 
+def test_coefficient_names_unknown_variable():
+    p = P(("x", "y"), {(2, 1): 6})
+    with pytest.raises(ValueError, match="'z'"):
+        p.coefficient({"z": 1})
+
+
+@pytest.mark.parametrize("op", [
+    lambda p: p + 1.5,
+    lambda p: 1.5 + p,
+    lambda p: p - 1.5,
+    lambda p: p * "a",
+    lambda p: p * 1.5,
+], ids=["add", "radd", "sub", "mul_str", "mul_float"])
+def test_arithmetic_rejects_non_integer_scalars(op):
+    with pytest.raises(TypeError):
+        op(MultiPoly.variable(("u", "v"), "u"))
+
+
 # ------------------------------------------------------- divided difference
 
 def test_divided_difference_classic():

@@ -14,7 +14,7 @@ import pytest
 from intervalence import FinitePoset, MultiPoly, are_isomorphic
 from intervalence.poset import INTERVAL_VARS, VALENCE_VARS
 
-from helpers import random_poset
+from helpers import interval_degree_histogram, random_poset
 
 PENTAGON = FinitePoset(5, [(0, 1), (0, 2), (1, 3), (3, 4), (2, 4)])
 
@@ -211,6 +211,24 @@ def test_interval_valence_polynomial_two_chain():
 
 def test_interval_valence_polynomial_pentagon():
     assert PENTAGON.interval_valence_polynomial() == PENTAGON_INTERVAL_POLY
+
+
+def test_interval_kernel_matches_per_interval_degrees():
+    rng = random.Random(97)
+    posets = [random_poset(rng, max_m=9) for _ in range(40)]
+    posets += [FinitePoset(0, []), FinitePoset(1, []), PENTAGON]
+    for p in posets:
+        assert p.interval_valence_polynomial() == interval_degree_histogram(p)
+
+
+def test_interval_kernel_degrees_wider_than_four_bits():
+    # bottom 0, atoms 1..20, top 21: degree 20 needs five bits per field
+    wide = FinitePoset(22, [(0, a) for a in range(1, 21)] + [(a, 21) for a in range(1, 21)])
+    chain = FinitePoset(2, [(0, 1)])
+    for p in (wide, wide.product(chain)):
+        assert p.interval_valence_polynomial() == interval_degree_histogram(p)
+    assert wide.interval_valence_polynomial().coefficient(
+        {"x": 20, "xbar": 20}) == 1
 
 
 def test_interval_valence_duality():

@@ -28,6 +28,7 @@ from intervalence import (
     interval_statistics,
     interval_valence_polynomial,
     is_synchronous,
+    iter_interval_statistics,
     left_border_factors,
     reverse,
     rotation_covers,
@@ -47,7 +48,7 @@ from intervalence.tamari import (
     valence_polynomial,
 )
 
-from helpers import catalan, interval_count, synchronous_count
+from helpers import catalan, interval_count, interval_degree_histogram, synchronous_count
 
 LEAF = None
 
@@ -272,12 +273,40 @@ def test_interval_statistics_size_two_records():
 
 
 def test_interval_statistics_validation():
-    with pytest.raises(ValueError):
-        interval_statistics(0)
-    with pytest.raises(ValueError):
-        interval_statistics(10)
-    with pytest.raises(ValueError):
-        interval_statistics(8, with_q=True)
+    for stats in (interval_statistics, iter_interval_statistics):
+        with pytest.raises(ValueError):
+            stats(0)
+        with pytest.raises(ValueError):
+            stats(10)
+        with pytest.raises(ValueError):
+            stats(8, with_q=True)
+
+
+def test_interval_records_match_per_interval_definitions():
+    # every record of the kernel against the per-interval definitions, with
+    # q against a longest-chain recursion over the whole lattice
+    for n in range(1, 8):
+        lat = tamari_lattice(n)
+        poset = lat.poset
+        longest = {}
+        for lo in reversed(poset.topological_order()):
+            for hi in poset.up_set(lo):
+                longest[(lo, hi)] = 0 if lo == hi else 1 + max(
+                    longest[(c, hi)] for c in poset.upper_covers(lo) if poset.leq(c, hi))
+        records = interval_statistics(n)
+        assert [(r.lo, r.hi) for r in records] == poset.intervals()
+        for r in records:
+            iv = (r.lo, r.hi)
+            word = interval_canopy_word(lat, *iv)
+            assert (r.n, r.dx, r.dy, r.dybar, r.dxbar, r.q) == (
+                n, *poset.interval_degrees(iv), longest[iv])
+            assert (r.ll, r.rr) == (word.count("LL") - 1, word.count("RR") - 1)
+            assert r.sync == is_synchronous(lat, *iv)
+
+
+def test_iter_interval_statistics_matches_cached_records():
+    for n, with_q in ((4, None), (4, False), (6, True), (7, None)):
+        assert tuple(iter_interval_statistics(n, with_q)) == interval_statistics(n, with_q)
 
 
 def full_system(n):
@@ -369,6 +398,11 @@ def test_interval_valence_polynomial_matches_generic_poset_route():
     for n in range(1, 6):
         lat = tamari_lattice(n)
         assert interval_valence_polynomial(n) == lat.poset.interval_valence_polynomial()
+
+
+def test_interval_valence_polynomial_matches_per_interval_degrees():
+    for n in range(1, 8):
+        assert interval_valence_polynomial(n) == interval_degree_histogram(tamari_lattice(n).poset)
 
 
 def test_interval_valence_polynomial_matches_statistics_records():
