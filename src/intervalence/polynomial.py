@@ -219,6 +219,8 @@ class MultiPoly:
                 raise ValueError(f"cannot bind {name!r}: not in universe {self.vars}")
             if isinstance(val, int):
                 val = MultiPoly.constant(target, val)
+            elif not isinstance(val, MultiPoly):
+                raise TypeError(f"binding for {name!r} must be an int or a MultiPoly, got {val!r}")
             elif val.vars != target:
                 raise ValueError(f"binding for {name!r} lives in {val.vars}, expected {target}")
             bound[name] = val
@@ -371,6 +373,17 @@ class MultiPoly:
         return f"MultiPoly({self.vars}, {self})"
 
 
+def cauchy_coefficient(a, b, k):
+    """Coefficient of ``t**k`` in the product of two series given by their
+    ``MultiPoly`` coefficient lists: the sum of ``a[i] * b[k - i]`` over
+    ``0 <= i <= k``, skipping zero factors."""
+    out = MultiPoly.zero(a[0].vars)
+    for i in range(k + 1):
+        if not (a[i].is_zero() or b[k - i].is_zero()):
+            out = out + a[i] * b[k - i]
+    return out
+
+
 def divided_difference(p, q, name):
     """Exact quotient ``(p - q) / (name - 1)``.
 
@@ -405,7 +418,7 @@ class SeriesT:
     __slots__ = ("vars", "N", "coeffs")
 
     def __init__(self, vars, N, coeffs=None):
-        if not isinstance(N, int) or N < 1:
+        if isinstance(N, bool) or not isinstance(N, int) or N < 1:
             raise ValueError(f"truncation order must be a positive integer, got {N!r}")
         vars = tuple(vars)
         if coeffs is None:
@@ -442,41 +455,27 @@ class SeriesT:
         return self.vars == other.vars and self.N == other.N and self.coeffs == other.coeffs
 
     def __add__(self, other):
+        if not isinstance(other, SeriesT):
+            return NotImplemented
         self._check(other)
         return SeriesT(self.vars, self.N, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
+        if not isinstance(other, SeriesT):
+            return NotImplemented
         self._check(other)
         return SeriesT(self.vars, self.N, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
         if isinstance(other, (int, MultiPoly)):
             return SeriesT(self.vars, self.N, [c * other for c in self.coeffs])
+        if not isinstance(other, SeriesT):
+            return NotImplemented
         self._check(other)
-        out = [MultiPoly.zero(self.vars) for _ in range(self.N)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= self.N:
-                    break
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return SeriesT(self.vars, self.N, out)
+        return SeriesT(self.vars, self.N, [cauchy_coefficient(self.coeffs, other.coeffs, k)
+                                           for k in range(self.N)])
 
     __rmul__ = __mul__
-
-    def mul_tpoly(self, tcoeffs):
-        """Multiply by an integer polynomial in ``t`` given low-to-high."""
-        out = [MultiPoly.zero(self.vars) for _ in range(self.N)]
-        for j, c in enumerate(tcoeffs):
-            if not c:
-                continue
-            for i, a in enumerate(self.coeffs):
-                if i + j >= self.N:
-                    break
-                out[i + j] = out[i + j] + a * c
-        return SeriesT(self.vars, self.N, out)
 
     def substitute(self, bindings, vars=None):
         target = tuple(vars) if vars is not None else self.vars
@@ -562,6 +561,8 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
+        if not isinstance(other, UniPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -574,11 +575,15 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
+        if not isinstance(other, UniPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return UniPoly([c * other for c in self.coeffs])
+        if not isinstance(other, UniPoly):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return UniPoly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

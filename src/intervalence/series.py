@@ -34,7 +34,7 @@ as vanishing residuals.
 from dataclasses import dataclass
 from enum import Enum
 
-from .polynomial import MultiPoly, SeriesT, divided_difference
+from .polynomial import MultiPoly, SeriesT, cauchy_coefficient, divided_difference
 
 
 class Mode(str, Enum):
@@ -124,7 +124,8 @@ def solve(config):
     systems share this loop and differ only in the split variable (the last
     catalytic one: v for full, q and bicubic; u for canopy and sync), the
     bridge weight (ybar for full and q; RR for canopy; 1 otherwise) and the
-    ``inner`` kernel.
+    ``inner`` kernel.  The q kernel is the full kernel under u -> qu, divided
+    by q.
     """
     mode = config.mode
     names = config.universe
@@ -154,14 +155,11 @@ def solve(config):
         else:
             p_u1 = p_uu = prev
         dd1 = divided_difference(p_u1, p_u1.substitute({"u": 1}), "u")
-        if mode is Mode.FULL:
+        if mode in (Mode.FULL, Mode.Q_ANALOGUE):
             dd2 = divided_difference(p_uu, p_u1, "u")
             inner = y * (u * dd1) + x * y * (u * dd2) + (x - x * y) * p_uu
-        elif mode is Mode.Q_ANALOGUE:
-            dd2 = divided_difference(p_uu, p_u1, "u")
-            inner = (y * (u * dd1.substitute({"u": qu}))
-                     + x * y * (u * dd2.substitute({"u": qu}))
-                     + ((x - x * y) * p_uu.substitute({"u": qu})).exact_div("q"))
+            if mode is Mode.Q_ANALOGUE:
+                inner = inner.substitute({"u": qu}).exact_div("q")
         elif mode is Mode.CANOPY:
             inner = ll * (u * dd1) + (1 - ll) * p_uu
         elif mode is Mode.SYNCHRONOUS_RESTRICTED:
@@ -171,10 +169,8 @@ def solve(config):
         if k == 1:
             inner = inner + u
         theta[k] = split_var * inner
-        conv = zero
-        for i in range(1, k):
-            if not (bridge[i].is_zero() or theta[k - i].is_zero()):
-                conv = conv + bridge[i] * theta[k - i]
+        # bridge[0] and the unfilled bridge[k] are zero: this sums over 0 < i < k
+        conv = cauchy_coefficient(bridge, theta, k)
         phi[k] = theta[k] + weight * conv.exact_div(split)
         bridge[k] = phi[k].substitute({"u": split_var}) if split == "v" else phi[k]
     return SolverOutput(config, SeriesT(names, N, phi), SeriesT(names, N, theta))
@@ -189,17 +185,10 @@ def check_alternative_decomposition(output):
     names = output.config.universe
     v = MultiPoly.variable(names, "v")
     ybar = MultiPoly.variable(names, "ybar")
-    phi = output.intervals.coeffs
-    theta_vv = [c.substitute({"u": v}) for c in output.indecomposable.coeffs]
-    for k in range(output.config.N):
-        conv = MultiPoly.zero(names)
-        for i in range(1, k):
-            if not (theta_vv[i].is_zero() or phi[k - i].is_zero()):
-                conv = conv + theta_vv[i] * phi[k - i]
-        rhs = output.indecomposable.coeffs[k] + ybar * conv.exact_div("v")
-        if rhs != phi[k]:
-            return False
-    return True
+    product = output.indecomposable.substitute({"u": v}) * output.intervals
+    return all(theta + ybar * conv.exact_div("v") == phi
+               for theta, conv, phi in zip(output.indecomposable.coeffs, product.coeffs,
+                                           output.intervals.coeffs))
 
 
 def check_bridge_identity(output):
@@ -230,11 +219,11 @@ def residual(series, coefficient_arrays):
     t^0 upward.  A vanishing residual certifies the series solves the
     algebraic equation up to the truncation order.
     """
-    acc = SeriesT.zero(series.vars, series.N)
-    power = SeriesT(series.vars, series.N,
-                    [MultiPoly.one(series.vars)]
-                    + [MultiPoly.zero(series.vars)] * (series.N - 1))
+    names, N = series.vars, series.N
+    acc = SeriesT.zero(names, N)
+    power = SeriesT(names, N, [MultiPoly.one(names)] + [MultiPoly.zero(names)] * (N - 1))
     for coeffs in coefficient_arrays:
-        acc = acc + power.mul_tpoly(coeffs)
+        padded = (list(coeffs) + [0] * N)[:N]
+        acc = acc + power * SeriesT(names, N, [MultiPoly.constant(names, c) for c in padded])
         power = power * series
     return acc

@@ -77,7 +77,6 @@ def _all_trees(n):
     return tuple(out)
 
 
-@lru_cache(maxsize=None, typed=True)
 def enumerate_trees(n):
     """All trees of size n, sorted by their text encoding."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
@@ -339,11 +338,6 @@ def _check_statistics_args(n, with_q):
     return with_q
 
 
-@lru_cache(maxsize=None)
-def _interval_statistics_cached(n, with_q):
-    return tuple(_records(tamari_lattice(n), with_q))
-
-
 def interval_statistics(n, with_q=None):
     """Statistics of every interval of the size-n lattice, in (lo, hi) order.
 
@@ -351,11 +345,11 @@ def interval_statistics(n, with_q=None):
     restricted to n <= 7, where the default computes it.  The records are
     read off the poset's interval kernel (``FinitePoset._interval_keys``):
     the four cover counts from up-set bitsets, ``ll``/``rr``/``sync`` from
-    canopy bitmasks.  The tuple is cached; ``iter_interval_statistics``
-    yields the same records without keeping them, which is how the ``table``
-    command streams its output.
+    canopy bitmasks.  Each call builds a new tuple, which nothing caches;
+    ``iter_interval_statistics`` yields the same records one at a time,
+    which is how the ``table`` command streams its output.
     """
-    return _interval_statistics_cached(n, _check_statistics_args(n, with_q))
+    return tuple(iter_interval_statistics(n, with_q))
 
 
 def iter_interval_statistics(n, with_q=None):
@@ -385,7 +379,6 @@ def interval_valence_polynomial(n):
     return tamari_lattice(n).poset.interval_valence_polynomial()
 
 
-@lru_cache(maxsize=None)
 def valence_polynomial(n):
     """The two-variable valence enumerator of the size-n lattice itself."""
     return tamari_lattice(n).poset.valence_polynomial()

@@ -11,6 +11,7 @@ against direct enumeration at n <= 3.
 import itertools
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 from . import tamari
 from .polynomial import MultiPoly, UniPoly, all_roots_real_negative
@@ -116,6 +117,13 @@ def brute_force_weights(n):
     return p.substitute({"xbar": 1}, ("x", "y", "ybar"))
 
 
+@lru_cache(maxsize=None)
+def _records(n):
+    """The interval records of the size-n lattice, read by the five record
+    suites; they cap n at 7, so this memo holds at most seven tuples."""
+    return tamari.interval_statistics(n)
+
+
 def check_ternary_symmetry(n_max=7):
     """Full S3 symmetry of the enumerator on {x, y, ybar} once xbar = 1,
     and on {y, ybar, xbar} once x = 1."""
@@ -184,7 +192,7 @@ def check_synchronous_theorem(n_max=7):
     failures = []
     counts = []
     for n in range(1, n_max + 1):
-        records = tamari.interval_statistics(n)
+        records = _records(n)
         sync_count = 0
         for r in records:
             if r.sync != (r.dy + r.dybar == n - 1):
@@ -213,7 +221,7 @@ def check_degree_properties(n_max=7):
         lat = tamari.tamari_lattice(n)
         lo_min, hi_max = lat.minimum(), lat.maximum()
         on_bound = 0
-        for r in tamari.interval_statistics(n):
+        for r in _records(n):
             where = f"n={n} interval ({r.lo},{r.hi})"
             if (r.dx == 0) != (r.lo == r.hi) or (r.dxbar == 0) != (r.lo == r.hi):
                 failures.append(f"{where}: dx/dxbar vanishing does not match lo == hi")
@@ -248,7 +256,7 @@ def check_distribution_equalities(n_max=7):
     failures = []
     matrices = {}
     for n in range(1, n_max + 1):
-        records = tamari.interval_statistics(n)
+        records = _records(n)
         base = distribution_table(records, "dy", "dybar")
         same = {
             "(dx,dy)": distribution_table(records, "dx", "dy"),
@@ -286,7 +294,7 @@ def check_remaining_conjectures(n_max=7):
     motzkin = []
     for n in range(1, n_max + 1):
         lat = tamari.tamari_lattice(n)
-        records = tamari.interval_statistics(n)
+        records = _records(n)
         simple = [r for r in records if r.dx + r.dy + r.dybar + r.dxbar == n - 1]
         if any(r.lo != r.hi for r in simple) or len(simple) != len(lat.trees):
             failures.append(f"conjecture counterexample: n={n}, total degree n-1 "
@@ -337,7 +345,7 @@ def check_real_rootedness(n_max=7):
             if not ok:
                 failures.append(f"n={n}: specialization ({label}) = {f} "
                                 f"has a nonreal or nonnegative root")
-        records = tamari.interval_statistics(n)
+        records = _records(n)
         dist = {}
         for r in records:
             if r.dx + r.dy == n - 1:

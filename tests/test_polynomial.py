@@ -155,6 +155,23 @@ def test_arithmetic_rejects_non_integer_scalars(op):
         op(MultiPoly.variable(("u", "v"), "u"))
 
 
+@pytest.mark.parametrize("op, error, match", [
+    (lambda: SeriesT(("u",), 3) + 1, TypeError, None),
+    (lambda: SeriesT(("u",), 3) - 1, TypeError, None),
+    (lambda: SeriesT(("u",), 3) * 1.5, TypeError, None),
+    (lambda: 1.5 * SeriesT(("u",), 3), TypeError, None),
+    (lambda: SeriesT(("u",), True), ValueError, "True"),
+    (lambda: UniPoly([1, 2]) + 1, TypeError, None),
+    (lambda: UniPoly([1, 2]) - 1, TypeError, None),
+    (lambda: UniPoly([1, 2]) * 1.5, TypeError, None),
+    (lambda: MultiPoly.variable(("x",), "x").substitute({"x": 1.5}), TypeError, "'x'"),
+], ids=["series_add", "series_sub", "series_mul", "series_rmul", "series_bool_order",
+        "unipoly_add", "unipoly_sub", "unipoly_mul", "substitute_float"])
+def test_series_layer_rejects_foreign_operands(op, error, match):
+    with pytest.raises(error, match=match):
+        op()
+
+
 # ------------------------------------------------------- divided difference
 
 def test_divided_difference_classic():
@@ -236,6 +253,29 @@ def test_series_geometric_inverse():
     prod = f * g
     assert prod.coeffs[0] == one
     assert all(c.is_zero() for c in prod.coeffs[1:])
+
+
+def random_series(rng, N):
+    """Random series over (u, v) with a nonzero t^0 coefficient; each higher
+    order is zero about a third of the time."""
+    first = random_poly(rng)
+    while first.is_zero():
+        first = random_poly(rng)
+    rest = [MultiPoly.zero(first.vars) if rng.random() < 0.3 else random_poly(rng)
+            for _ in range(N - 1)]
+    return SeriesT(first.vars, N, [first] + rest)
+
+
+def test_series_product_matches_double_loop():
+    rng = random.Random(20261018)
+    for N in range(1, 7):
+        for _ in range(15):
+            f, g = random_series(rng, N), random_series(rng, N)
+            expected = [MultiPoly.zero(f.vars)] * N
+            for i in range(N):
+                for j in range(N - i):
+                    expected[i + j] = expected[i + j] + f.coeffs[i] * g.coeffs[j]
+            assert (f * g).coeffs == tuple(expected)
 
 
 def test_series_substitute_and_constant_values():

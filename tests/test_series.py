@@ -291,3 +291,16 @@ def test_residual_on_truncated_equation_directly():
     # F = t + t^2 solves nothing: check the detector is not trivially zero
     t_only = SeriesT((), 4, [MultiPoly.constant((), c) for c in (0, 1, 1, 0)])
     assert not residual(t_only, SYNC_RESIDUAL_COEFFS).is_zero()
+
+
+@pytest.mark.parametrize("N, expected", [
+    (1, ["u^2 + 2 u + 1"]),
+    (2, ["u^2 + 2 u + 1", "3 u + 8"]),
+])
+def test_residual_reads_coefficient_arrays_longer_than_the_series(N, expected):
+    # F = u + 2t; c_0 = 1 + 4t + 5t^2, c_1 = 2 - t + 7t^2 + 9t^3, c_2 = 1 + 3t^2:
+    # c_0 + c_1 F + c_2 F^2 = (u^2 + 2u + 1) + (3u + 8) t + O(t^2)
+    u = MultiPoly.variable(("u",), "u")
+    f = SeriesT(("u",), N, [u, MultiPoly.constant(("u",), 2)][:N])
+    got = residual(f, ((1, 4, 5), (2, -1, 7, 9), (1, 0, 3)))
+    assert [str(c) for c in got.coeffs] == expected

@@ -304,6 +304,12 @@ def test_interval_records_match_per_interval_definitions():
             assert r.sync == is_synchronous(lat, *iv)
 
 
+def test_interval_statistics_is_not_cached():
+    first, second = interval_statistics(3), interval_statistics(3)
+    assert first == second
+    assert first is not second
+
+
 def test_iter_interval_statistics_matches_cached_records():
     for n, with_q in ((4, None), (4, False), (6, True), (7, None)):
         assert tuple(iter_interval_statistics(n, with_q)) == interval_statistics(n, with_q)
