@@ -2,10 +2,12 @@
 real-rootedness certificates.
 
 Every coefficient is a Python integer, so all arithmetic in this module is
-exact.  Three types are provided:
+exact; division (gcd, Sturm chains, exact quotients) is integer long division
+too, with no rationals.  Three types are provided:
 
 - ``MultiPoly``: a sparse polynomial over a fixed, ordered tuple of variable
-  names.  Exponent vectors are tuples aligned with the variable tuple.
+  names.  Exponent vectors are tuples aligned with the variable tuple, and
+  every renaming or change of universe is a ``substitute`` call.
 - ``SeriesT``: a power series in an implicit variable ``t``, truncated at a
   fixed exclusive order ``N``, whose coefficients are ``MultiPoly`` values.
 - ``UniPoly``: a dense univariate integer polynomial, used for Sturm-sequence
@@ -20,7 +22,6 @@ JSON serialisation instead sorts terms by exponent vector in plain
 lexicographic order.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -29,12 +30,27 @@ def _display_key(exp):
     return (-sum(exp), tuple(reversed(exp)))
 
 
+def _render(terms):
+    """Text such as ``3 x y^2 - z + 1`` from ``(coeff, monomial)`` pairs,
+    highest term first; ``monomial`` is ``"x y^2"``, or ``""`` for 1."""
+    parts = []
+    for c, monomial in terms:
+        a = abs(c)
+        body = (monomial if a == 1 else f"{a} {monomial}") if monomial else str(a)
+        parts.append(("- " if c < 0 else "+ ") + body)
+    if not parts:
+        return "0"
+    joined = " ".join(parts)
+    return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+
+
 class MultiPoly:
     """Sparse exact polynomial over an ordered universe of variables.
 
     ``terms`` maps exponent tuples to nonzero integer coefficients.  Two
     polynomials interoperate only if their universes are identical; use
-    ``substitute`` or ``with_universe`` to move between universes.
+    ``substitute`` to move between universes (``with_universe`` and
+    ``permute_vars`` are ``substitute`` calls).
     """
 
     __slots__ = ("vars", "terms")
@@ -93,12 +109,20 @@ class MultiPoly:
     def monomial(cls, vars, exponents, coeff=1):
         """Single term ``coeff * prod(name**e)`` from a name -> exponent dict."""
         vars = tuple(vars)
-        exp = [0] * len(vars)
+        return cls(vars, {cls._raw(vars, {})._exponent(exponents): coeff})
+
+    def _position(self, name):
+        """Index of ``name`` in the universe; ``ValueError`` if it is absent."""
+        if name not in self.vars:
+            raise ValueError(f"variable {name!r} not in universe {self.vars}")
+        return self.vars.index(name)
+
+    def _exponent(self, exponents):
+        """Exponent tuple of the monomial given as a name -> exponent dict."""
+        exp = [0] * len(self.vars)
         for name, e in exponents.items():
-            if name not in vars:
-                raise ValueError(f"variable {name!r} not in universe {vars}")
-            exp[vars.index(name)] = e
-        return cls(vars, {tuple(exp): coeff})
+            exp[self._position(name)] = e
+        return tuple(exp)
 
     def _check_universe(self, other):
         if self.vars != other.vars:
@@ -184,12 +208,7 @@ class MultiPoly:
 
     def coefficient(self, exponents):
         """Coefficient of the monomial given as a name -> exponent dict."""
-        exp = [0] * len(self.vars)
-        for name, e in exponents.items():
-            if name not in self.vars:
-                raise ValueError(f"variable {name!r} not in universe {self.vars}")
-            exp[self.vars.index(name)] = e
-        return self.terms.get(tuple(exp), 0)
+        return self.terms.get(self._exponent(exponents), 0)
 
     def coefficients(self):
         return sorted(self.terms.values())
@@ -200,7 +219,7 @@ class MultiPoly:
         return max(sum(e) for e in self.terms)
 
     def degree_in(self, name):
-        i = self.vars.index(name)
+        i = self._position(name)
         if not self.terms:
             return 0
         return max(e[i] for e in self.terms)
@@ -215,8 +234,7 @@ class MultiPoly:
         target = tuple(vars) if vars is not None else self.vars
         bound = {}
         for name, val in bindings.items():
-            if name not in self.vars:
-                raise ValueError(f"cannot bind {name!r}: not in universe {self.vars}")
+            self._position(name)  # raises for a name outside the universe
             if isinstance(val, int):
                 val = MultiPoly.constant(target, val)
             elif not isinstance(val, MultiPoly):
@@ -277,30 +295,19 @@ class MultiPoly:
     def with_universe(self, vars):
         """Reindex into another universe; dropped variables must be absent."""
         target = tuple(vars)
-        pos = {name: i for i, name in enumerate(target)}
-        out = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * len(target)
-            for name, e in zip(self.vars, exp):
-                if not e:
-                    continue
-                if name not in pos:
-                    raise ValueError(f"variable {name!r} occurs but is absent from {target}")
-                new[pos[name]] = e
-            out[tuple(new)] = coeff
-        return MultiPoly._raw(target, out)
+        dropped = [name for name in self.vars if name not in target]
+        for name in dropped:
+            if self.degree_in(name):
+                raise ValueError(f"variable {name!r} occurs but is absent from {target}")
+        return self.substitute(dict.fromkeys(dropped, 1), target)
 
     def permute_vars(self, mapping):
         """Rename variables by a bijection of the universe onto itself."""
         img = {name: mapping.get(name, name) for name in self.vars}
         if sorted(img.values()) != sorted(self.vars):
             raise ValueError(f"{mapping} is not a bijection of {self.vars}")
-        # inv[j] = position of the variable whose image sits at position j
-        inv = [0] * len(self.vars)
-        for i, name in enumerate(self.vars):
-            inv[self.vars.index(img[name])] = i
-        out = {tuple(exp[inv[i]] for i in range(len(exp))): c for exp, c in self.terms.items()}
-        return MultiPoly._raw(self.vars, out)
+        return self.substitute({name: MultiPoly.variable(self.vars, new)
+                                for name, new in img.items()})
 
     def is_symmetric(self, mapping):
         """Whether the polynomial is invariant under a variable bijection."""
@@ -309,21 +316,19 @@ class MultiPoly:
     def support(self, vars=None):
         """Set of exponent vectors projected onto the given variables."""
         names = tuple(vars) if vars is not None else self.vars
-        idx = [self.vars.index(name) for name in names]
+        idx = [self._position(name) for name in names]
         return {tuple(exp[i] for i in idx) for exp in self.terms}
 
     def degree_range(self, vars=None):
         """(min, max) total degree over the given variables."""
         if not self.terms:
             raise ValueError("zero polynomial has no degree range")
-        names = tuple(vars) if vars is not None else self.vars
-        idx = [self.vars.index(name) for name in names]
-        degs = [sum(exp[i] for i in idx) for exp in self.terms]
+        degs = [sum(exp) for exp in self.support(vars)]
         return (min(degs), max(degs))
 
     def exact_div(self, name):
         """Exact division by a single variable; every term must contain it."""
-        i = self.vars.index(name)
+        i = self._position(name)
         out = {}
         for exp, coeff in self.terms.items():
             if exp[i] < 1:
@@ -348,26 +353,9 @@ class MultiPoly:
         return acc
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp in sorted(self.terms, key=_display_key):
-            c = self.terms[exp]
-            factors = []
-            for name, e in zip(self.vars, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if factors:
-                body = " ".join(factors)
-                if abs(c) != 1:
-                    body = f"{abs(c)} {body}"
-            else:
-                body = str(abs(c))
-            parts.append(("- " if c < 0 else "+ ") + body)
-        joined = " ".join(parts)
-        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+        return _render([(self.terms[exp], " ".join([name if e == 1 else f"{name}^{e}"
+                                                     for name, e in zip(self.vars, exp) if e]))
+                        for exp in sorted(self.terms, key=_display_key)])
 
     def __repr__(self):
         return f"MultiPoly({self.vars}, {self})"
@@ -390,7 +378,7 @@ def divided_difference(p, q, name):
     Raises ``ValueError`` when the numerator does not vanish at ``name = 1``.
     """
     diff = p - q
-    i = diff.vars.index(name)
+    i = diff._position(name)
     groups = {}
     for exp, coeff in diff.terms.items():
         key = exp[:i] + exp[i + 1:]
@@ -518,7 +506,10 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [int(c) for c in coeffs]
+        coeffs = list(coeffs)
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise ValueError(f"non-integer coefficient {c!r}")
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -542,7 +533,7 @@ class UniPoly:
             raise ValueError(f"polynomial involves {live}, not only {name!r}")
         if name is None:
             return cls([p.terms.get((), 0)] if p.terms else [])
-        i = p.vars.index(name)
+        i = p._position(name)
         out = [0] * (p.degree_in(name) + 1) if p.terms else []
         for exp, coeff in p.terms.items():
             out[exp[i]] += coeff
@@ -628,81 +619,63 @@ class UniPoly:
         return UniPoly([c // g for c in self.coeffs]) if g > 1 else self
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                body = str(abs(c))
-            elif e == 1:
-                body = "z" if abs(c) == 1 else f"{abs(c)} z"
-            else:
-                body = f"z^{e}" if abs(c) == 1 else f"{abs(c)} z^{e}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        joined = " ".join(parts)
-        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+        return _render([(self.coeffs[e], "z" if e == 1 else f"z^{e}" if e else "")
+                        for e in range(len(self.coeffs) - 1, -1, -1) if self.coeffs[e]])
 
     def __repr__(self):
         return f"UniPoly({self})"
 
 
-def _fraction_divmod(num, den):
-    """Long division over the rationals; returns (quotient, remainder)."""
-    num = [Fraction(c) for c in num.coeffs]
-    den = [Fraction(c) for c in den.coeffs]
-    if not den:
+def _remainder(a, b):
+    """Remainder of ``a`` by ``b`` times a positive factor, made primitive.
+
+    Each step scales the running remainder by ``|lc(b)| > 0`` so that the
+    division stays in the integers and the signs are those over the rationals."""
+    if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and any(num):
-        while num and not num[-1]:
-            num.pop()
-        if len(num) < len(den):
-            break
-        q = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        quo[shift] = q
+    den = b.coeffs
+    scale, sign = abs(den[-1]), (1 if den[-1] > 0 else -1)
+    rem = list(a.coeffs)
+    while len(rem) >= len(den):
+        q, shift = sign * rem[-1], len(rem) - len(den)
+        rem = [scale * c for c in rem]
         for i, d in enumerate(den):
-            num[shift + i] -= q * d
-        num.pop()
-    return quo, num
-
-
-def _clear_denominators(fracs):
-    """Scale rationals by a positive factor into a primitive integer list."""
-    if not any(fracs):
-        return []
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    return [c // g for c in ints]
+            rem[shift + i] -= q * d
+        while rem and not rem[-1]:
+            rem.pop()
+    return UniPoly(rem).primitive()
 
 
 def polynomial_gcd(f, g):
     """Primitive gcd of two integer polynomials, positive leading term."""
     a, b = f.primitive(), g.primitive()
     while not b.is_zero():
-        _, rem = _fraction_divmod(a, b)
-        a, b = b, UniPoly(_clear_denominators(rem))
+        a, b = b, _remainder(a, b)
     if a.is_zero():
         return a
     return a if a.coeffs[-1] > 0 else -a
 
 
 def exact_quotient(f, g):
-    """Quotient of integer polynomials that must divide exactly."""
-    quo, rem = _fraction_divmod(f, g)
-    if any(rem):
+    """Quotient of integer polynomials; ``g`` must divide ``f`` over the integers."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    den = g.coeffs
+    rem = list(f.coeffs)
+    quo = [0] * max(len(rem) - len(den) + 1, 0)
+    while len(rem) >= len(den):
+        q, r = divmod(rem[-1], den[-1])
+        if r:
+            break
+        shift = len(rem) - len(den)
+        quo[shift] = q
+        for i, d in enumerate(den):
+            rem[shift + i] -= q * d
+        while rem and not rem[-1]:
+            rem.pop()
+    if rem:
         raise ValueError("division is not exact")
-    if any(q.denominator != 1 for q in quo):
-        raise ValueError("quotient is not integral")
-    return UniPoly([int(q) for q in quo])
+    return UniPoly(quo)
 
 
 def squarefree_part(f):
@@ -724,8 +697,7 @@ def sturm_sequence(f):
     if not d.is_zero():
         chain.append(d.primitive())
         while chain[-1].degree() > 0:
-            _, rem = _fraction_divmod(chain[-2], chain[-1])
-            nxt = UniPoly(_clear_denominators([-r for r in rem]))
+            nxt = -_remainder(chain[-2], chain[-1])
             if nxt.is_zero():
                 break
             chain.append(nxt)
@@ -737,6 +709,14 @@ def _sign_changes(signs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
+def _negative_roots(chain):
+    """Distinct roots in ``(-inf, 0)`` of the head of a Sturm chain, which
+    must not vanish at 0."""
+    at_minus_inf = [(1 if p.coeffs[-1] > 0 else -1) * (-1) ** p.degree() for p in chain]
+    at_zero = [(0 if p(0) == 0 else (1 if p(0) > 0 else -1)) for p in chain]
+    return _sign_changes(at_minus_inf) - _sign_changes(at_zero)
+
+
 def count_negative_real_roots(f):
     """Number of distinct real roots of ``f`` in the open interval
     ``(-inf, 0)``; requires ``f(0) != 0``."""
@@ -744,10 +724,7 @@ def count_negative_real_roots(f):
         raise ValueError("zero polynomial")
     if f(0) == 0:
         raise ValueError("polynomial vanishes at 0; factor out z first")
-    chain = sturm_sequence(squarefree_part(f))
-    at_minus_inf = [(1 if p.coeffs[-1] > 0 else -1) * (-1) ** p.degree() for p in chain]
-    at_zero = [(0 if p(0) == 0 else (1 if p(0) > 0 else -1)) for p in chain]
-    return _sign_changes(at_minus_inf) - _sign_changes(at_zero)
+    return _negative_roots(sturm_sequence(f))
 
 
 def all_roots_real_negative(f):
@@ -766,5 +743,6 @@ def all_roots_real_negative(f):
     # necessary: a monic product of (z + r), r > 0, has all-positive coefficients
     if any(c <= 0 for c in f.coeffs):
         return False
-    g = squarefree_part(f)
-    return count_negative_real_roots(g) == g.degree()
+    # the chain ends in gcd(f, f'), so f has deg f - deg gcd distinct roots
+    chain = sturm_sequence(f)
+    return _negative_roots(chain) == f.degree() - chain[-1].degree()

@@ -137,10 +137,22 @@ def test_exact_div_and_coefficient():
     assert p.coefficient({"x": 5}) == 0
 
 
-def test_coefficient_names_unknown_variable():
+@pytest.mark.parametrize("op", [
+    lambda p: p.coefficient({"z": 1}),
+    lambda p: p.exact_div("z"),
+    lambda p: p.degree_in("z"),
+    lambda p: p.support(("x", "z")),
+    lambda p: p.degree_range(("z",)),
+    lambda p: divided_difference(p, p, "z"),
+    lambda p: MultiPoly.monomial(p.vars, {"z": 1}),
+    lambda p: p.substitute({"z": 1}),
+    lambda p: UniPoly.from_multipoly(MultiPoly.constant(p.vars, 3), "z"),
+], ids=["coefficient", "exact_div", "degree_in", "support", "degree_range",
+        "divided_difference", "monomial", "substitute", "from_multipoly"])
+def test_coefficient_names_unknown_variable(op):
     p = P(("x", "y"), {(2, 1): 6})
-    with pytest.raises(ValueError, match="'z'"):
-        p.coefficient({"z": 1})
+    with pytest.raises(ValueError, match=r"'z'.*\('x', 'y'\)"):
+        op(p)
 
 
 @pytest.mark.parametrize("op", [
@@ -309,6 +321,8 @@ def test_unipoly_basics():
     assert p.derivative() == UniPoly((7, 2))
     assert UniPoly((0, 0, 3)).trailing_zero_order() == 2
     assert UniPoly((0, 0, 3)).shift_down(2) == UniPoly((3,))
+    with pytest.raises(ValueError, match="non-integer coefficient 1.5"):
+        UniPoly([1.5, 2])
 
 
 def test_unipoly_from_multipoly():
