@@ -18,6 +18,7 @@ Exit status: 0 on success, 1 when a verification or residual check fails,
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -30,22 +31,17 @@ from .poset import INTERVAL_VARS
 STAT_FIELDS = ("dx", "dy", "dybar", "dxbar", "q", "ll", "rr")
 
 
-def _write(text, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
-def _write_lines(lines, path):
-    """Stream ``lines`` out; same bytes as ``_write("\\n".join(lines) + "\\n", path)``."""
-    if path:
-        with open(path, "w") as fh:
-            fh.writelines(line + "\n" for line in lines)
-    else:
-        sys.stdout.writelines(line + "\n" for line in lines)
-        print()
+def _write(pieces, path):
+    """Write the text made of ``pieces`` (streamed, so it need not be held
+    whole) to ``path``, or to stdout.  Stdout always gets one more newline,
+    as ``print`` adds; a file gets one only if the last piece does not end
+    in one."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
+        piece = ""
+        for piece in pieces:
+            out.write(piece)
+        if not path or not piece.endswith("\n"):
+            out.write("\n")
 
 
 def _json_dump(obj):
@@ -92,26 +88,26 @@ def _cmd_poly(parser, args):
         two = p.substitute({"x": a, "y": a, "ybar": abar, "xbar": abar}, ("a", "abar"))
         matrix = verify.table_to_matrix({e: c for e, c in two.terms.items()}, args.n)
         if args.format == "json":
-            _write(_json_dump({"valence": lattice_poly.to_json(),
-                               "interval_triangle": matrix}), args.output)
+            _write([_json_dump({"valence": lattice_poly.to_json(),
+                                "interval_triangle": matrix})], args.output)
         elif args.format == "csv":
-            _write(_poly_csv(lattice_poly), args.output)
+            _write([_poly_csv(lattice_poly)], args.output)
         else:
             lines = [str(lattice_poly),
                      "interval triangle (a exponent rightward, abar exponent upward):"]
             lines += _matrix_lines(matrix)
-            _write("\n".join(lines), args.output)
+            _write(["\n".join(lines)], args.output)
         return 0
     if args.spec:
         bindings = _parse_spec(parser, args.spec)
         remaining = tuple(v for v in INTERVAL_VARS if v not in bindings)
         p = p.substitute(bindings, remaining)
     if args.format == "json":
-        _write(_json_dump(p.to_json()), args.output)
+        _write([_json_dump(p.to_json())], args.output)
     elif args.format == "csv":
-        _write(_poly_csv(p), args.output)
+        _write([_poly_csv(p)], args.output)
     else:
-        _write(str(p), args.output)
+        _write([str(p)], args.output)
     return 0
 
 
@@ -139,7 +135,7 @@ def _cmd_series(parser, args):
         if restricted:
             doc["counts"] = counts
             doc["residual_zero"] = res_zero
-        _write(_json_dump(doc), args.output)
+        _write([_json_dump(doc)], args.output)
     else:
         lines = [f"mode {config.mode.value}, truncation t^{config.N}"]
         lines.append("intervals:")
@@ -152,7 +148,7 @@ def _cmd_series(parser, args):
             lines.append("counts: " + ", ".join(str(c) for c in counts))
             lines.append(f"algebraic residual through t^{config.N - 1}: "
                          + ("0" if res_zero else "NONZERO"))
-        _write("\n".join(lines), args.output)
+        _write(["\n".join(lines)], args.output)
     return 0 if res_zero in (None, True) else 1
 
 
@@ -163,12 +159,12 @@ def _cmd_verify(parser, args):
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":
-        _write(_json_dump([r.to_dict() for r in reports]), args.output)
+        _write([_json_dump([r.to_dict() for r in reports])], args.output)
     else:
         text = verify.summarize_reports(reports)
         ok = all(r.passed() for r in reports)
         text += "\n" + ("all suites passed" if ok else "FAILURES PRESENT")
-        _write(text, args.output)
+        _write([text], args.output)
     return 0 if all(r.passed() for r in reports) else 1
 
 
@@ -181,7 +177,8 @@ def _cmd_table(parser, args):
     if needs_q and args.n > 7:
         parser.error("the chain statistic q is supported for n <= 7")
     if args.format == "csv":
-        _write_lines(tamari.csv_lines(tamari.iter_interval_statistics(args.n)), args.output)
+        records = tamari.iter_interval_statistics(args.n)
+        _write((line + "\n" for line in tamari.csv_lines(records)), args.output)
         return 0
     records = tamari.iter_interval_statistics(args.n, with_q=needs_q)
     table = verify.distribution_table(records, first, second)
@@ -189,14 +186,14 @@ def _cmd_table(parser, args):
     size = max(max(i for i, _ in table), max(j for _, j in table)) + 1
     matrix = verify.table_to_matrix(table, size)
     if args.format == "json":
-        _write(_json_dump({"n": args.n, "pair": [first, second],
-                           "matrix": matrix, "total": total}), args.output)
+        _write([_json_dump({"n": args.n, "pair": [first, second],
+                            "matrix": matrix, "total": total})], args.output)
     else:
         lines = [f"intervals of the size-{args.n} lattice by ({first}, {second}); "
                  f"{first} rightward from 0, {second} upward from 0"]
         lines += _matrix_lines(matrix)
         lines.append(f"total {total}")
-        _write("\n".join(lines), args.output)
+        _write(["\n".join(lines)], args.output)
     return 0
 
 
@@ -208,17 +205,17 @@ def _cmd_trees(parser, args):
              "composition": list(tamari.composition(t))}
             for i, t in enumerate(trees)]
     if args.format == "json":
-        _write(_json_dump(rows), args.output)
+        _write([_json_dump(rows)], args.output)
     elif args.format == "csv":
         lines = ["index,tree,canopy,composition"]
         for r in rows:
             comp = " ".join(str(c) for c in r["composition"])
             lines.append(f"{r['index']},\"{r['tree']}\",{r['canopy']},{comp}")
-        _write("\n".join(lines), args.output)
+        _write(["\n".join(lines)], args.output)
     else:
         lines = [f"{r['index']}\t{r['tree']}\t{r['canopy']}\t"
                  + ",".join(str(c) for c in r["composition"]) for r in rows]
-        _write("\n".join(lines), args.output)
+        _write(["\n".join(lines)], args.output)
     return 0
 
 

@@ -64,9 +64,9 @@ class MultiPoly:
             exp = tuple(exp)
             if len(exp) != len(vars):
                 raise ValueError(f"exponent {exp} does not fit universe {vars}")
-            if any(e < 0 or not isinstance(e, int) for e in exp):
+            if any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp}")
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 raise ValueError(f"non-integer coefficient {coeff!r}")
             if coeff:
                 clean[exp] = clean.get(exp, 0) + coeff
@@ -93,7 +93,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, vars, c):
         vars = tuple(vars)
-        if not isinstance(c, int):
+        if type(c) is not int:
             raise ValueError(f"non-integer constant {c!r}")
         return cls._raw(vars, {(0,) * len(vars): c} if c else {})
 
@@ -306,8 +306,9 @@ class MultiPoly:
         img = {name: mapping.get(name, name) for name in self.vars}
         if sorted(img.values()) != sorted(self.vars):
             raise ValueError(f"{mapping} is not a bijection of {self.vars}")
+        # substitute rejects a mapping key outside the universe
         return self.substitute({name: MultiPoly.variable(self.vars, new)
-                                for name, new in img.items()})
+                                for name, new in mapping.items()})
 
     def is_symmetric(self, mapping):
         """Whether the polynomial is invariant under a variable bijection."""
@@ -508,7 +509,7 @@ class UniPoly:
     def __init__(self, coeffs):
         coeffs = list(coeffs)
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise ValueError(f"non-integer coefficient {c!r}")
         while coeffs and not coeffs[-1]:
             coeffs.pop()
@@ -551,40 +552,8 @@ class UniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
     def __neg__(self):
         return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UniPoly([c * other for c in self.coeffs])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x):
         acc = 0

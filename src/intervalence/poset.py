@@ -47,17 +47,19 @@ class FinitePoset:
     """Immutable poset on ``0 .. m-1`` given by Hasse covers.
 
     Order queries run on precomputed up-set bitsets, so ``leq`` is O(1).
+    ``_width`` is the bits per field of the packed degree keys of
+    ``_interval_keys``: enough for the largest degree.
     """
 
-    __slots__ = ("m", "covers", "_up", "_upper", "_lower", "_topo")
+    __slots__ = ("m", "covers", "_up", "_upper", "_lower", "_topo", "_width")
 
     def __init__(self, m, covers):
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise ValueError(f"bad element count {m!r}")
         seen = set()
         for pair in covers:
             a, b = pair
-            if not (0 <= a < m and 0 <= b < m):
+            if type(a) is not int or type(b) is not int or not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"cover {pair} out of range for m={m}")
             if a == b:
                 raise ValueError(f"cover {pair} is a loop")
@@ -100,6 +102,8 @@ class FinitePoset:
         object.__setattr__(self, "_upper", tuple(tuple(sorted(u)) for u in upper))
         object.__setattr__(self, "_lower", tuple(tuple(sorted(l)) for l in lower))
         object.__setattr__(self, "_topo", tuple(topo))
+        object.__setattr__(self, "_width",
+                           max(map(len, upper + lower), default=0).bit_length())
 
     def __setattr__(self, name, value):
         raise AttributeError("FinitePoset is immutable")
@@ -215,21 +219,21 @@ class FinitePoset:
         is materialised; ``interval_degrees`` stays the per-interval
         definition the kernel is tested against.
         """
-        width = self._key_width()
         counts = Counter()
-        for _, keys in self._interval_keys(width):
+        for _, keys in self._interval_keys():
             counts.update(keys.values())
-        return MultiPoly(INTERVAL_VARS,
-                         {unpack_degrees(k, width): c for k, c in counts.items()})
+        return MultiPoly(INTERVAL_VARS, {self._degrees(k): c for k, c in counts.items()})
 
-    def _key_width(self):
-        """Bits per field of a packed degree key: enough for the largest degree."""
-        return max(map(len, self._upper + self._lower), default=0).bit_length()
+    def _degrees(self, key):
+        """``(dx, dy, dybar, dxbar)`` from a packed key of ``_interval_keys``."""
+        width = self._width
+        mask = (1 << width) - 1
+        return (key >> 3 * width, key >> 2 * width & mask, key >> width & mask, key & mask)
 
-    def _interval_keys(self, width):
+    def _interval_keys(self):
         """The interval kernel: for each ``lo``, yield ``(lo, keys)`` where
         ``keys`` maps every ``hi >= lo`` to its packed ``(dx, dy, dybar, dxbar)``
-        (see ``unpack_degrees``); ``keys`` is not ordered by ``hi``.
+        (see ``_degrees``); ``keys`` is not ordered by ``hi``.
 
         ``dx`` counts the up-sets of the upper covers of ``lo`` that contain
         ``hi``: the up-sets are summed in a bit-sliced counter, one bitset per
@@ -237,7 +241,7 @@ class FinitePoset:
         ``dx``.  ``dxbar`` is the popcount of the lower covers of ``hi``
         inside ``up[lo]``.
         """
-        up, upper = self._up, self._upper
+        up, upper, width = self._up, self._upper, self._width
         low = [0] * self.m
         for a, b in self.covers:
             low[b] |= 1 << a
@@ -277,12 +281,6 @@ class FinitePoset:
     @classmethod
     def from_json(cls, data):
         return cls(data["m"], [tuple(c) for c in data["covers"]])
-
-
-def unpack_degrees(key, width):
-    """``(dx, dy, dybar, dxbar)`` from a packed key of ``_interval_keys``."""
-    mask = (1 << width) - 1
-    return (key >> 3 * width, key >> 2 * width & mask, key >> width & mask, key & mask)
 
 
 def _element_profiles(p):

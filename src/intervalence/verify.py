@@ -89,11 +89,33 @@ class CheckReport:
         return asdict(self)
 
 
-def _finish(check_id, n_lo, n_hi, start, failures, details=None):
-    status = "pass" if not failures else "fail"
-    witness = None if not failures else failures[0]
-    return CheckReport(check_id, (n_lo, n_hi), status, witness,
-                       round(time.perf_counter() - start, 3), details or {})
+SUITES = {}
+
+
+def _suite(check_id, n_max, cap, n_lo=1):
+    """Register a suite body under ``check_id`` in ``SUITES``.
+
+    The body is called as ``body(n_hi, failures)`` with ``n_hi`` the
+    requested ``n_max`` clamped to ``cap``; it appends a witness to
+    ``failures`` for each broken property and returns its ``details``.  The
+    registered ``check_*(n_max)`` times the body and builds the report, whose
+    n range is ``(n_lo, n_hi)``.
+    """
+    def register(body):
+        def check(n_max=n_max):
+            start = time.perf_counter()
+            n_hi = min(n_max, cap)
+            failures = []
+            details = body(n_hi, failures)
+            return CheckReport(check_id, (n_lo, n_hi), "fail" if failures else "pass",
+                               failures[0] if failures else None,
+                               round(time.perf_counter() - start, 3), details or {})
+
+        check.__name__ = check.__qualname__ = body.__name__
+        check.__doc__ = body.__doc__
+        SUITES[check_id] = check
+        return check
+    return register
 
 
 def distribution_table(records, stat_a, stat_b):
@@ -120,16 +142,15 @@ def brute_force_weights(n):
 @lru_cache(maxsize=None)
 def _records(n):
     """The interval records of the size-n lattice, read by the five record
-    suites; they cap n at 7, so this memo holds at most seven tuples."""
+    suites; they cap n at 7, so this memo holds at most seven tuples, 3.0 MB
+    traced (tracemalloc) for all of n = 1..7."""
     return tamari.interval_statistics(n)
 
 
-def check_ternary_symmetry(n_max=7):
+@_suite("ternary", n_max=7, cap=8)
+def check_ternary_symmetry(n_max, failures):
     """Full S3 symmetry of the enumerator on {x, y, ybar} once xbar = 1,
     and on {y, ybar, xbar} once x = 1."""
-    start = time.perf_counter()
-    n_max = min(n_max, 8)
-    failures = []
     for n in range(1, n_max + 1):
         p = tamari.interval_valence_polynomial(n)
         for kept, names in (("xbar", ("x", "y", "ybar")), ("x", ("y", "ybar", "xbar"))):
@@ -138,31 +159,25 @@ def check_ternary_symmetry(n_max=7):
                 mapping = dict(zip(names, perm))
                 if not proj.is_symmetric(mapping):
                     failures.append(f"n={n}: {kept}=1 projection not invariant under {mapping}")
-    return _finish("ternary", 1, n_max, start, failures)
 
 
-def check_x_xbar_conjecture(n_max=7):
+@_suite("xxbar", n_max=7, cap=8)
+def check_x_xbar_conjecture(n_max, failures):
     """Invariance of the full four-variable enumerator under swapping x with
     xbar alone, and y with ybar alone (conjectural; verified exhaustively)."""
-    start = time.perf_counter()
-    n_max = min(n_max, 8)
-    failures = []
     for n in range(1, n_max + 1):
         p = tamari.interval_valence_polynomial(n)
         if not p.is_symmetric({"x": "xbar", "xbar": "x"}):
             failures.append(f"conjecture counterexample: n={n}, x <-> xbar changes the enumerator")
         if not p.is_symmetric({"y": "ybar", "ybar": "y"}):
             failures.append(f"conjecture counterexample: n={n}, y <-> ybar changes the enumerator")
-    return _finish("xxbar", 1, n_max, start, failures)
 
 
-def check_support_triangle(n_max=5):
+@_suite("triangle", n_max=5, cap=6)
+def check_support_triangle(n_max, failures):
     """Support of the two-variable enumerator of the interval poset: the
     staircase triangle i + j >= n - 1 inside the (n-1) x (n-1) box, with the
     full coefficient matrices pinned for n <= 5."""
-    start = time.perf_counter()
-    n_max = min(n_max, 6)
-    failures = []
     matrices = {}
     a = MultiPoly.variable(("a", "abar"), "a")
     abar = MultiPoly.variable(("a", "abar"), "abar")
@@ -180,16 +195,14 @@ def check_support_triangle(n_max=5):
         matrices[str(n)] = matrix
         if n in TRIANGLE_MATRICES and matrix != TRIANGLE_MATRICES[n]:
             failures.append(f"n={n}: coefficient matrix {matrix} != reference")
-    return _finish("triangle", 1, n_max, start, failures, {"matrices": matrices})
+    return {"matrices": matrices}
 
 
-def check_synchronous_theorem(n_max=7):
+@_suite("sync", n_max=7, cap=7)
+def check_synchronous_theorem(n_max, failures):
     """Equal canopies happen exactly at (y, ybar)-degree n - 1, and the
     synchronous counts match both the frozen sequence and the one-variable
     restricted system."""
-    start = time.perf_counter()
-    n_max = min(n_max, 7)
-    failures = []
     counts = []
     for n in range(1, n_max + 1):
         records = _records(n)
@@ -207,15 +220,13 @@ def check_synchronous_theorem(n_max=7):
     series_counts = solved.intervals_at_unit().constant_values()[1:]
     if series_counts != counts:
         failures.append(f"restricted system gives {series_counts}, enumeration gives {counts}")
-    return _finish("sync", 1, n_max, start, failures, {"counts": counts})
+    return {"counts": counts}
 
 
-def check_degree_properties(n_max=7):
+@_suite("degree", n_max=7, cap=7)
+def check_degree_properties(n_max, failures):
     """Degree-zero characterisations, the five pair bounds, the lower bound
     dx + dy + dybar >= n - 1 and the counts on its boundary."""
-    start = time.perf_counter()
-    n_max = min(n_max, 7)
-    failures = []
     bicubic = []
     for n in range(1, n_max + 1):
         lat = tamari.tamari_lattice(n)
@@ -244,16 +255,14 @@ def check_degree_properties(n_max=7):
     series_counts = solved.intervals_at_unit().constant_values()[1:]
     if series_counts != bicubic:
         failures.append(f"restricted system gives {series_counts}, enumeration gives {bicubic}")
-    return _finish("degree", 1, n_max, start, failures, {"bicubic_counts": bicubic})
+    return {"bicubic_counts": bicubic}
 
 
-def check_distribution_equalities(n_max=7):
+@_suite("distribution", n_max=7, cap=7)
+def check_distribution_equalities(n_max, failures):
     """Joint distribution identities: the pair tables forced by the ternary
     symmetries, the canopy table against (dy, dybar), the printed tables for
     n <= 5, and the q tables (q, dy) == (q, dybar) for n <= 6."""
-    start = time.perf_counter()
-    n_max = min(n_max, 7)
-    failures = []
     matrices = {}
     for n in range(1, n_max + 1):
         records = _records(n)
@@ -280,17 +289,15 @@ def check_distribution_equalities(n_max=7):
             qybar = distribution_table(records, "q", "dybar")
             if qy != qybar:
                 failures.append(f"n={n}: (q,dy) table differs from (q,dybar)")
-    return _finish("distribution", 1, n_max, start, failures, {"matrices": matrices})
+    return {"matrices": matrices}
 
 
-def check_remaining_conjectures(n_max=7):
+@_suite("conjectures", n_max=7, cap=7)
+def check_remaining_conjectures(n_max, failures):
     """Exhaustive evidence for the open statements: only diagonal intervals
     reach total degree n - 1; the doubly-extremal intervals are counted by
     Motzkin numbers, form an antichain (n <= 6), and the two companion
     boundary counts agree."""
-    start = time.perf_counter()
-    n_max = min(n_max, 7)
-    failures = []
     motzkin = []
     for n in range(1, n_max + 1):
         lat = tamari.tamari_lattice(n)
@@ -316,17 +323,15 @@ def check_remaining_conjectures(n_max=7):
         if left != right:
             failures.append(f"conjecture counterexample: n={n}, boundary counts "
                             f"(x,ybar)={left} and (xbar,y)={right} differ")
-    return _finish("conjectures", 1, n_max, start, failures, {"motzkin_counts": motzkin})
+    return {"motzkin_counts": motzkin}
 
 
-def check_real_rootedness(n_max=7):
+@_suite("realroots", n_max=7, cap=7, n_lo=2)
+def check_real_rootedness(n_max, failures):
     """Real-rootedness of the one-variable specializations z/1/1/1, z/z/1/1
     and z/z/z/1 of (x, y, ybar, xbar): after factoring out the power of z,
     all roots must be real and negative.  Also reports the distribution of
     dx on the dx + dy = n - 1 boundary."""
-    start = time.perf_counter()
-    n_max = min(n_max, 7)
-    failures = []
     specializations = {}
     facet = {}
     z = MultiPoly.variable(("z",), "z")
@@ -351,20 +356,8 @@ def check_real_rootedness(n_max=7):
             if r.dx + r.dy == n - 1:
                 dist[r.dx] = dist.get(r.dx, 0) + 1
         facet[str(n)] = [dist.get(i, 0) for i in range(n)]
-    return _finish("realroots", 2, n_max, start, failures,
-                   {"specializations": specializations, "facet_dx_distribution": facet})
+    return {"specializations": specializations, "facet_dx_distribution": facet}
 
-
-SUITES = {
-    "ternary": check_ternary_symmetry,
-    "xxbar": check_x_xbar_conjecture,
-    "triangle": check_support_triangle,
-    "sync": check_synchronous_theorem,
-    "degree": check_degree_properties,
-    "distribution": check_distribution_equalities,
-    "conjectures": check_remaining_conjectures,
-    "realroots": check_real_rootedness,
-}
 
 
 def run_suites(suite_ids, n_max):

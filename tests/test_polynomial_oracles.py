@@ -6,12 +6,14 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from intervalence import UniPoly, squarefree_part  # noqa: E402
+from intervalence import MultiPoly, UniPoly, squarefree_part  # noqa: E402
 from intervalence.polynomial import (  # noqa: E402
     count_negative_real_roots,
     exact_quotient,
     polynomial_gcd,
 )
+
+from helpers import univariate  # noqa: E402
 
 Z = sympy.Symbol("z")
 
@@ -28,13 +30,14 @@ def normalised(coeffs_high_to_low):
 
 def random_factor(rng):
     degree = rng.randint(1, 3)
-    return UniPoly([rng.randint(-5, 5) for _ in range(degree)] + [rng.choice([1, -1, 2, 3])])
+    coeffs = [rng.randint(-5, 5) for _ in range(degree)] + [rng.choice([1, -1, 2, 3])]
+    return MultiPoly(("z",), {(i,): c for i, c in enumerate(coeffs)})
 
 
 def random_poly(rng):
     """Product of up to four random factors, each squared or cubed now and
-    then, so that repeated roots are common."""
-    f = UniPoly([rng.choice([1, -1, 2, -3])])
+    then, so that repeated roots are common; a ``MultiPoly`` in z."""
+    f = MultiPoly.constant(("z",), rng.choice([1, -1, 2, -3]))
     for _ in range(rng.randint(1, 4)):
         factor = random_factor(rng)
         f = f * factor
@@ -54,14 +57,14 @@ def random_polys(seed, count):
 
 
 def test_count_negative_real_roots_matches_sympy():
-    for f in random_polys(20261018, 150):
+    for f in map(univariate, random_polys(20261018, 150)):
         if f(0) == 0:
             continue
         assert count_negative_real_roots(f) == to_sympy(f).count_roots(-sympy.oo, 0), f
 
 
 def test_squarefree_part_matches_sympy():
-    for f in random_polys(31, 150):
+    for f in map(univariate, random_polys(31, 150)):
         got = squarefree_part(f)
         want = normalised(to_sympy(f).sqf_part().all_coeffs())
         assert (-got if got.coeffs[-1] < 0 else got) == want, f
@@ -70,7 +73,7 @@ def test_squarefree_part_matches_sympy():
 def test_polynomial_gcd_matches_sympy():
     polys = random_polys(47, 240)
     for f, g, shared in zip(polys[::3], polys[1::3], polys[2::3]):
-        f, g = f * shared, g * shared
+        f, g = univariate(f * shared), univariate(g * shared)
         want = normalised(sympy.gcd(to_sympy(f), to_sympy(g)).all_coeffs())
         assert polynomial_gcd(f, g) == want, (f, g)
 
@@ -78,10 +81,10 @@ def test_polynomial_gcd_matches_sympy():
 def test_exact_quotient_round_trip_and_rejection():
     polys = random_polys(53, 200)
     for f, g in zip(polys[::2], polys[1::2]):
-        assert exact_quotient(f * g, g) == f
+        assert exact_quotient(univariate(f * g), univariate(g)) == univariate(f)
         # g has degree >= 1, so it leaves the remainder 1
         with pytest.raises(ValueError):
-            exact_quotient(f * g + UniPoly([1]), g)
+            exact_quotient(univariate(f * g + 1), univariate(g))
     with pytest.raises(ValueError):
         exact_quotient(UniPoly([1, 1]), UniPoly([1, 2]))  # (z + 1) / (2z + 1)
     with pytest.raises(ValueError):

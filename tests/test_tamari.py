@@ -16,9 +16,11 @@ import random
 import pytest
 
 from intervalence import (
+    FinitePoset,
     Mode,
     MultiPoly,
     SystemConfig,
+    UniPoly,
     canopy,
     composition,
     decode,
@@ -330,6 +332,22 @@ def test_bool_sizes_rejected(build):
     build(1)  # a cached size 1 must not answer for True
     with pytest.raises(ValueError):
         build(True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FinitePoset(True, []),
+    lambda: FinitePoset(2, [(True, 0)]),
+    lambda: MultiPoly.constant(("x",), True),
+    lambda: MultiPoly(("x",), {(True,): 2}),
+    lambda: MultiPoly(("x",), {(1,): True}),
+    lambda: UniPoly([True, 2]),
+    lambda: tamari_lattice(3).as_index(True),
+], ids=["poset_size", "cover", "constant", "exponent", "coefficient", "unipoly",
+        "tree_index"])
+def test_bool_integers_rejected(build):
+    # the JSON schemas promise ints; True would be written out as `true`
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_interval_statistics_q_is_longest_chain():

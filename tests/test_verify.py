@@ -4,10 +4,11 @@ predicates are sharp enough to notice a corrupted enumerator.
 """
 
 import json
+import re
 
 import pytest
 
-from intervalence import CheckReport, MultiPoly, run_suites, summarize_reports
+from intervalence import CheckReport, MultiPoly, run_suites, summarize_reports, tamari, verify
 from intervalence.verify import (
     BICUBIC_COUNTS,
     CANOPY_MATRICES,
@@ -118,6 +119,57 @@ def test_failing_report_carries_witness():
     report = CheckReport("demo", (1, 3), "fail", "n=2: off by one", 0.1)
     assert not report.passed()
     assert "off by one" in summarize_reports([report])
+
+
+def bump_x_squared(p):
+    return p + MultiPoly.monomial(p.vars, {"x": 2})
+
+
+def not_real_rooted(p):
+    # x^2 + 1, whose z/1/1/1 specialisation z^2 + 1 has imaginary roots
+    return MultiPoly.monomial(p.vars, {"x": 2}) + 1
+
+
+def bump_first_dy(records):
+    # record 0 is the diagonal interval at the maximum tree
+    return (records[0]._replace(dy=records[0].dy + 1),) + records[1:]
+
+
+# suite -> (data source in tamari, corruption at n = 3, n_range for --max-n 8)
+CORRUPTIONS = {
+    "ternary": ("interval_valence_polynomial", bump_x_squared, (1, 8)),
+    "xxbar": ("interval_valence_polynomial", bump_x_squared, (1, 8)),
+    "triangle": ("interval_valence_polynomial", bump_x_squared, (1, 6)),
+    "sync": ("interval_statistics", bump_first_dy, (1, 7)),
+    "degree": ("interval_statistics", bump_first_dy, (1, 7)),
+    "distribution": ("interval_statistics", bump_first_dy, (1, 7)),
+    "conjectures": ("interval_statistics", bump_first_dy, (1, 7)),
+    "realroots": ("interval_valence_polynomial", not_real_rooted, (2, 7)),
+}
+
+
+@pytest.fixture
+def uncached_records():
+    """Keep corrupted records out of the record suites' shared memo."""
+    verify._records.cache_clear()
+    yield
+    verify._records.cache_clear()
+
+
+@pytest.mark.parametrize("suite_id", list(CORRUPTIONS))
+def test_each_suite_fails_on_corrupted_data(suite_id, monkeypatch, uncached_records):
+    source, corrupt, n_range = CORRUPTIONS[suite_id]
+    original = getattr(tamari, source)
+
+    def corrupted(n, *args):
+        data = original(n, *args)
+        return corrupt(data) if n == 3 else data
+
+    monkeypatch.setattr(tamari, source, corrupted)
+    report, = run_suites([suite_id], 8)
+    assert report.status == "fail"
+    assert re.search(r"\bn=3\b", report.witness), report.witness
+    assert report.n_range == n_range
 
 
 # --------------------------------------------------- sensitivity to corruption
