@@ -16,6 +16,7 @@ plugging the solved series into them and watching the residual vanish.
 
 from intervalence import Mode, SystemConfig, interval_statistics, residual, solve
 from intervalence.series import BICUBIC_RESIDUAL_COEFFS, SYNC_RESIDUAL_COEFFS
+from intervalence.tamari import interval_histogram
 from intervalence.verify import distribution_table, table_to_matrix
 
 # ----------------------------------------------------------------------
@@ -23,9 +24,9 @@ from intervalence.verify import distribution_table, table_to_matrix
 # and the second increasing upward.
 
 for n in range(2, 6):
-    recs = interval_statistics(n, with_q=False)
-    by_degree = table_to_matrix(distribution_table(recs, "dy", "dybar"), n)
-    by_canopy = table_to_matrix(distribution_table(recs, "ll", "rr"), n)
+    histogram = interval_histogram(n).counts
+    by_degree = table_to_matrix(distribution_table(histogram, "dy", "dybar"), n)
+    by_canopy = table_to_matrix(distribution_table(histogram, "ll", "rr"), n)
     print(f"n={n}: (dy, dybar) table == (LL, RR) table: {by_degree == by_canopy}")
     for row in by_degree:
         print("   ", row)

@@ -7,9 +7,9 @@ Subcommands:
 - ``series``: solve one of the catalytic equation systems as an exact
   truncated series; restricted modes also report the algebraic residual.
 - ``verify``: run the verification suites and summarize the reports.
-- ``table``: joint distribution of two interval statistics; csv output emits
-  the per-interval records instead of the aggregate.  Every format streams
-  the records, so none is held in memory.
+- ``table``: joint distribution of two interval statistics, read from the
+  cached interval histogram; csv output streams the per-interval records
+  instead of the aggregate, so none is held in memory.
 - ``trees``: enumerate the trees of a given size with canopy and
   left-border composition.
 
@@ -173,15 +173,14 @@ def _cmd_table(parser, args):
     first, second = first.strip(), second.strip()
     if first not in STAT_FIELDS or second not in STAT_FIELDS:
         parser.error(f"bad statistic pair {args.pair!r}; choose two of {STAT_FIELDS}")
-    needs_q = "q" in (first, second)
-    if needs_q and args.n > 7:
+    if "q" in (first, second) and args.n > 7:
         parser.error("the chain statistic q is supported for n <= 7")
     if args.format == "csv":
         records = tamari.iter_interval_statistics(args.n)
         _write((line + "\n" for line in tamari.csv_lines(records)), args.output)
         return 0
-    records = tamari.iter_interval_statistics(args.n, with_q=needs_q)
-    table = verify.distribution_table(records, first, second)
+    histogram = tamari.interval_histogram(args.n).counts
+    table = verify.distribution_table(histogram, first, second)
     total = sum(table.values())
     size = max(max(i for i, _ in table), max(j for _, j in table)) + 1
     matrix = verify.table_to_matrix(table, size)

@@ -178,6 +178,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             if not isinstance(other, int):
                 return NotImplemented
+            if type(other) is bool:
+                raise ValueError(f"non-integer scalar {other!r}")
             if not other:
                 return MultiPoly.zero(self.vars)
             return MultiPoly._raw(self.vars, {e: c * other for e, c in self.terms.items()})
@@ -199,7 +201,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError(f"bad exponent {k!r}")
         out = MultiPoly.one(self.vars)
         for _ in range(k):

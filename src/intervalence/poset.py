@@ -119,27 +119,33 @@ class FinitePoset:
     def __repr__(self):
         return f"FinitePoset(m={self.m}, covers={list(self.covers)})"
 
+    def _element(self, a):
+        """``a``, checked to be an element: an int in ``0 .. m-1``."""
+        if type(a) is not int or not 0 <= a < self.m:
+            raise ValueError(f"element {a!r} out of range for m={self.m}")
+        return a
+
     def leq(self, a, b):
-        return self._up[a] >> b & 1 == 1
+        return self._up[self._element(a)] >> self._element(b) & 1 == 1
 
     def less(self, a, b):
         return a != b and self.leq(a, b)
 
     def upper_covers(self, a):
-        return self._upper[a]
+        return self._upper[self._element(a)]
 
     def lower_covers(self, a):
-        return self._lower[a]
+        return self._lower[self._element(a)]
 
     def out_degree(self, a):
-        return len(self._upper[a])
+        return len(self.upper_covers(a))
 
     def in_degree(self, a):
-        return len(self._lower[a])
+        return len(self.lower_covers(a))
 
     def up_set(self, a):
         """Elements >= a, ascending."""
-        return list(_iter_bits(self._up[a]))
+        return list(_iter_bits(self._up[self._element(a)]))
 
     def topological_order(self):
         return self._topo
@@ -184,10 +190,11 @@ class FinitePoset:
         """
         ivs = self.intervals()
         index = {iv: i for i, iv in enumerate(ivs)}
+        up = self._up
         covers = []
         for i, (lo, hi) in enumerate(ivs):
             for c in self._upper[lo]:
-                if self.leq(c, hi):
+                if up[c] >> hi & 1:
                     covers.append((i, index[(c, hi)]))
             for c in self._upper[hi]:
                 covers.append((i, index[(lo, c)]))
@@ -198,10 +205,11 @@ class FinitePoset:
         lo, hi = interval
         if not self.leq(lo, hi):
             raise ValueError(f"({lo}, {hi}) is not an interval")
-        dx = sum(1 for c in self._upper[lo] if self.leq(c, hi))
+        up = self._up
+        dx = sum(1 for c in self._upper[lo] if up[c] >> hi & 1)
         dy = len(self._upper[hi])
         dybar = len(self._lower[lo])
-        dxbar = sum(1 for c in self._lower[hi] if self.leq(lo, c))
+        dxbar = sum(1 for c in self._lower[hi] if up[lo] >> c & 1)
         return (dx, dy, dybar, dxbar)
 
     def valence_polynomial(self):

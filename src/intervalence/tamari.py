@@ -22,11 +22,10 @@ sizes give a composition of n which coarsens weakly along the order.
 """
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .poset import FinitePoset
-
-LEAF = None
 
 
 def size(t):
@@ -293,38 +292,53 @@ class IntervalStat(NamedTuple):
 CSV_HEADER = "n,lo,hi,dx,dy,dybar,dxbar,q,ll,rr,sync"
 
 
-def _longest_chain_from(poset, his, rank):
+def _longest_chain_from(upper, his, rank):
     """Longest saturated chain length to each element of ``his``, the up-set
     of some ``lo``, from ``lo``.  Every such chain lies inside the up-set, so
-    the walk visits only ``his``, in topological order (``rank``)."""
+    the walk visits only ``his``, in topological order (``rank``); ``upper``
+    holds the upper covers of each element."""
     dist = dict.fromkeys(his, 0)
     for v in sorted(his, key=rank.__getitem__):
         base = dist[v] + 1
-        for w in poset.upper_covers(v):
+        for w in upper[v]:
             if dist[w] < base:
                 dist[w] = base
     return dist
 
 
-def _records(lat, with_q):
+def _canopy_bits(lat):
+    """Canopy words as bitmasks with R = 1.  For an interval with masks
+    ``clo``, ``chi``: ``ll = n - popcount(clo | chi)``,
+    ``rr = popcount(clo & chi) - 1``, and it is synchronous iff ``clo == chi``."""
+    return [sum(1 << i for i, c in enumerate(word) if c == "R") for word in lat.canopies]
+
+
+def _interval_walk(lat, with_q):
+    """The interval kernel with the q walk, shared by the records and the
+    histogram: for each ``lo`` yield ``(lo, keys, dist)``, where ``keys`` maps
+    each ``hi >= lo`` to its packed degrees (``FinitePoset._interval_keys``)
+    and ``dist[hi]`` is q (``dist`` is ``None`` without q)."""
     poset = lat.poset
-    n = lat.n
-    degrees = {}
-    # canopy words as bitmasks with R = 1
-    canopy_bits = [sum(1 << i for i, c in enumerate(word) if c == "R")
-                   for word in lat.canopies]
     rank = [0] * poset.m
     for i, v in enumerate(poset.topological_order()):
         rank[v] = i
     for lo, keys in poset._interval_keys():
-        his = sorted(keys)
-        dist = _longest_chain_from(poset, his, rank) if with_q else None
+        # the elements come from the kernel, so the q walk reads the cover
+        # lists without the element checks of ``upper_covers``
+        yield lo, keys, _longest_chain_from(poset._upper, keys, rank) if with_q else None
+
+
+def _records(lat, with_q):
+    n = lat.n
+    degrees = {}
+    canopy_bits = _canopy_bits(lat)
+    for lo, keys, dist in _interval_walk(lat, with_q):
         clo = canopy_bits[lo]
-        for hi in his:
+        for hi in sorted(keys):
             key = keys[hi]
             deg = degrees.get(key)
             if deg is None:
-                deg = degrees[key] = poset._degrees(key)
+                deg = degrees[key] = lat.poset._degrees(key)
             chi = canopy_bits[hi]
             yield IntervalStat(n, lo, hi, *deg, dist[hi] if with_q else None,
                                n - (clo | chi).bit_count(), (clo & chi).bit_count() - 1,
@@ -360,6 +374,67 @@ def iter_interval_statistics(n, with_q=None):
     streaming consumers such as the ``table`` command."""
     with_q = _check_statistics_args(n, with_q)
     return _records(tamari_lattice(n), with_q)
+
+
+class IntervalClass(NamedTuple):
+    """The statistics of an ``IntervalStat`` without ``n``, ``lo`` and
+    ``hi``, plus three flags: ``diagonal`` (lo == hi), ``lo_minimal`` (lo is
+    the minimum) and ``hi_maximal`` (hi is the maximum).  Intervals with
+    equal classes are counted together by ``interval_histogram``."""
+
+    dx: int
+    dy: int
+    dybar: int
+    dxbar: int
+    q: 'int | None'
+    ll: int
+    rr: int
+    sync: bool
+    diagonal: bool
+    lo_minimal: bool
+    hi_maximal: bool
+
+
+class IntervalHistogram(NamedTuple):
+    """``counts`` maps each ``IntervalClass`` to its number of intervals
+    (read-only); ``extremal`` lists the ``(lo, hi)`` pairs of the
+    doubly-extremal intervals, dx + dy = dxbar + dybar = n - 1, in kernel
+    order."""
+
+    counts: MappingProxyType
+    extremal: tuple
+
+
+@lru_cache(maxsize=None, typed=True)
+def interval_histogram(n):
+    """The intervals of the size-n lattice counted by ``IntervalClass``,
+    cached: 653 classes for the 16,965 intervals at n = 7.  Same range and
+    q default as ``interval_statistics``; counted straight from the interval
+    kernel, so no ``IntervalStat`` is built."""
+    with_q = _check_statistics_args(n, None)
+    lat = tamari_lattice(n)
+    degrees = lat.poset._degrees
+    bottom, top = lat.minimum(), lat.maximum()
+    counts = {}
+    is_extremal = {}
+    pairs = []
+    canopy_bits = _canopy_bits(lat)
+    for lo, keys, dist in _interval_walk(lat, with_q):
+        clo = canopy_bits[lo]
+        at_bottom = lo == bottom
+        for hi, key in keys.items():
+            chi = canopy_bits[hi]
+            raw = (key, dist[hi] if with_q else None, (clo | chi).bit_count(),
+                   (clo & chi).bit_count(), hi == lo, at_bottom, hi == top)
+            counts[raw] = counts.get(raw, 0) + 1
+            if key not in is_extremal:
+                dx, dy, dybar, dxbar = degrees(key)
+                is_extremal[key] = dx + dy == dybar + dxbar == n - 1
+            if is_extremal[key]:
+                pairs.append((lo, hi))
+    classes = {IntervalClass(*degrees(key), q, n - union, meet - 1, union == meet, *flags): c
+               for (key, q, union, meet, *flags), c in counts.items()}
+    return IntervalHistogram(MappingProxyType(classes), tuple(pairs))
 
 
 def csv_lines(records):

@@ -11,7 +11,6 @@ against direct enumeration at n <= 3.
 import itertools
 import time
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 from . import tamari
 from .polynomial import MultiPoly, UniPoly, all_roots_real_negative
@@ -118,13 +117,32 @@ def _suite(check_id, n_max, cap, n_lo=1):
     return register
 
 
-def distribution_table(records, stat_a, stat_b):
-    """Counts of intervals by a pair of record statistics."""
+def distribution_table(histogram, stat_a, stat_b):
+    """Counts of intervals by a pair of statistics, from a histogram that
+    maps interval classes (``tamari.interval_histogram(n).counts``, or a
+    ``Counter`` of records) to their numbers of intervals."""
     out = {}
-    for r in records:
-        key = (getattr(r, stat_a), getattr(r, stat_b))
-        out[key] = out.get(key, 0) + 1
+    for c, k in histogram.items():
+        key = (getattr(c, stat_a), getattr(c, stat_b))
+        out[key] = out.get(key, 0) + k
     return out
+
+
+def _count(histogram, predicate):
+    """Number of intervals whose class satisfies ``predicate``."""
+    return sum(k for c, k in histogram.items() if predicate(c))
+
+
+def _class_witness(n, c, k):
+    """Names n, the statistics of interval class ``c`` and its count ``k``."""
+    return f"n={n} {c} ({k} interval{'s' if k != 1 else ''})"
+
+
+def _differences(table, base):
+    """The cells where two pair tables differ, each with both counts."""
+    return {cell: (table.get(cell, 0), base.get(cell, 0))
+            for cell in sorted(table.keys() | base.keys())
+            if table.get(cell, 0) != base.get(cell, 0)}
 
 
 def table_to_matrix(table, n):
@@ -137,14 +155,6 @@ def brute_force_weights(n):
     """The (x, y, ybar) enumerator of all intervals, xbar projected to 1."""
     p = tamari.interval_valence_polynomial(n)
     return p.substitute({"xbar": 1}, ("x", "y", "ybar"))
-
-
-@lru_cache(maxsize=None)
-def _records(n):
-    """The interval records of the size-n lattice, read by the five record
-    suites; they cap n at 7, so this memo holds at most seven tuples, 3.0 MB
-    traced (tracemalloc) for all of n = 1..7."""
-    return tamari.interval_statistics(n)
 
 
 @_suite("ternary", n_max=7, cap=8)
@@ -205,13 +215,12 @@ def check_synchronous_theorem(n_max, failures):
     restricted system."""
     counts = []
     for n in range(1, n_max + 1):
-        records = _records(n)
-        sync_count = 0
-        for r in records:
-            if r.sync != (r.dy + r.dybar == n - 1):
-                failures.append(f"n={n} interval ({r.lo},{r.hi}): sync={r.sync} "
-                                f"but dy+dybar={r.dy + r.dybar}")
-            sync_count += r.sync
+        histogram = tamari.interval_histogram(n).counts
+        for c, k in histogram.items():
+            if c.sync != (c.dy + c.dybar == n - 1):
+                failures.append(f"{_class_witness(n, c, k)}: sync={c.sync} "
+                                f"but dy+dybar={c.dy + c.dybar}")
+        sync_count = _count(histogram, lambda c: c.sync)
         counts.append(sync_count)
         if sync_count != SYNCHRONOUS_COUNTS[n - 1]:
             failures.append(f"n={n}: {sync_count} synchronous intervals, "
@@ -229,24 +238,22 @@ def check_degree_properties(n_max, failures):
     dx + dy + dybar >= n - 1 and the counts on its boundary."""
     bicubic = []
     for n in range(1, n_max + 1):
-        lat = tamari.tamari_lattice(n)
-        lo_min, hi_max = lat.minimum(), lat.maximum()
-        on_bound = 0
-        for r in _records(n):
-            where = f"n={n} interval ({r.lo},{r.hi})"
-            if (r.dx == 0) != (r.lo == r.hi) or (r.dxbar == 0) != (r.lo == r.hi):
+        histogram = tamari.interval_histogram(n).counts
+        for c, k in histogram.items():
+            where = _class_witness(n, c, k)
+            if (c.dx == 0) != c.diagonal or (c.dxbar == 0) != c.diagonal:
                 failures.append(f"{where}: dx/dxbar vanishing does not match lo == hi")
-            if (r.dy == 0) != (r.hi == hi_max):
+            if (c.dy == 0) != c.hi_maximal:
                 failures.append(f"{where}: dy = 0 does not match hi maximal")
-            if (r.dybar == 0) != (r.lo == lo_min):
+            if (c.dybar == 0) != c.lo_minimal:
                 failures.append(f"{where}: dybar = 0 does not match lo minimal")
-            pairs = ((r.dx, r.dybar), (r.dy, r.dxbar), (r.dx, r.dy),
-                     (r.dxbar, r.dybar), (r.dy, r.dybar))
+            pairs = ((c.dx, c.dybar), (c.dy, c.dxbar), (c.dx, c.dy),
+                     (c.dxbar, c.dybar), (c.dy, c.dybar))
             if any(s + t > n - 1 for s, t in pairs):
                 failures.append(f"{where}: a pair degree exceeds n - 1")
-            if r.dx + r.dy + r.dybar < n - 1:
-                failures.append(f"{where}: dx+dy+dybar = {r.dx + r.dy + r.dybar} < n - 1")
-            on_bound += r.dx + r.dy + r.dybar == n - 1
+            if c.dx + c.dy + c.dybar < n - 1:
+                failures.append(f"{where}: dx+dy+dybar = {c.dx + c.dy + c.dybar} < n - 1")
+        on_bound = _count(histogram, lambda c: c.dx + c.dy + c.dybar == n - 1)
         bicubic.append(on_bound)
         if n <= len(BICUBIC_COUNTS) and on_bound != BICUBIC_COUNTS[n - 1]:
             failures.append(f"n={n}: {on_bound} intervals on the (x,y,ybar) boundary, "
@@ -265,30 +272,30 @@ def check_distribution_equalities(n_max, failures):
     n <= 5, and the q tables (q, dy) == (q, dybar) for n <= 6."""
     matrices = {}
     for n in range(1, n_max + 1):
-        records = _records(n)
-        base = distribution_table(records, "dy", "dybar")
+        histogram = tamari.interval_histogram(n).counts
+        base = distribution_table(histogram, "dy", "dybar")
         same = {
-            "(dx,dy)": distribution_table(records, "dx", "dy"),
-            "(dx,dybar)": distribution_table(records, "dx", "dybar"),
-            "(dybar,dxbar)": distribution_table(records, "dybar", "dxbar"),
-            "(dy,dxbar)": distribution_table(records, "dy", "dxbar"),
+            "(dx,dy)": distribution_table(histogram, "dx", "dy"),
+            "(dx,dybar)": distribution_table(histogram, "dx", "dybar"),
+            "(dybar,dxbar)": distribution_table(histogram, "dybar", "dxbar"),
+            "(dy,dxbar)": distribution_table(histogram, "dy", "dxbar"),
             "transpose": {(j, i): c for (i, j), c in base.items()},
+            "canopy (ll,rr)": distribution_table(histogram, "ll", "rr"),
         }
         for label, table in same.items():
             if table != base:
-                failures.append(f"n={n}: {label} table differs from (dy,dybar)")
-        canopy_table = distribution_table(records, "ll", "rr")
-        if canopy_table != base:
-            failures.append(f"n={n}: canopy (ll,rr) table differs from (dy,dybar)")
+                failures.append(f"n={n}: {label} table differs from (dy,dybar) "
+                                f"at cells {_differences(table, base)}")
         matrix = table_to_matrix(base, n)
         matrices[str(n)] = matrix
         if n in CANOPY_MATRICES and matrix != CANOPY_MATRICES[n]:
             failures.append(f"n={n}: (dy,dybar) matrix {matrix} != reference")
         if n <= 6:
-            qy = distribution_table(records, "q", "dy")
-            qybar = distribution_table(records, "q", "dybar")
+            qy = distribution_table(histogram, "q", "dy")
+            qybar = distribution_table(histogram, "q", "dybar")
             if qy != qybar:
-                failures.append(f"n={n}: (q,dy) table differs from (q,dybar)")
+                failures.append(f"n={n}: (q,dy) table differs from (q,dybar) "
+                                f"at cells {_differences(qy, qybar)}")
     return {"matrices": matrices}
 
 
@@ -301,25 +308,29 @@ def check_remaining_conjectures(n_max, failures):
     motzkin = []
     for n in range(1, n_max + 1):
         lat = tamari.tamari_lattice(n)
-        records = _records(n)
-        simple = [r for r in records if r.dx + r.dy + r.dybar + r.dxbar == n - 1]
-        if any(r.lo != r.hi for r in simple) or len(simple) != len(lat.trees):
-            failures.append(f"conjecture counterexample: n={n}, total degree n-1 "
-                            f"does not characterise diagonal intervals")
-        extremal = [r for r in records
-                    if r.dx + r.dy == n - 1 and r.dxbar + r.dybar == n - 1]
-        motzkin.append(len(extremal))
-        if len(extremal) != MOTZKIN[n - 1]:
-            failures.append(f"conjecture counterexample: n={n}, {len(extremal)} "
+        histogram = tamari.interval_histogram(n)
+        counts = histogram.counts
+        for c, k in counts.items():
+            if c.dx + c.dy + c.dybar + c.dxbar == n - 1 and not c.diagonal:
+                failures.append(f"conjecture counterexample: {_class_witness(n, c, k)} "
+                                f"has total degree n-1 but is not diagonal")
+        simple = _count(counts, lambda c: c.dx + c.dy + c.dybar + c.dxbar == n - 1)
+        if simple != len(lat.trees):
+            failures.append(f"conjecture counterexample: n={n}, {simple} intervals of "
+                            f"total degree n-1 against {len(lat.trees)} diagonal intervals")
+        extremal = _count(counts, lambda c: c.dx + c.dy == n - 1 == c.dxbar + c.dybar)
+        motzkin.append(extremal)
+        if extremal != MOTZKIN[n - 1]:
+            failures.append(f"conjecture counterexample: n={n}, {extremal} "
                             f"doubly-extremal intervals, Motzkin predicts {MOTZKIN[n - 1]}")
         if n <= 6:
-            for r1, r2 in itertools.combinations(extremal, 2):
-                if ((lat.poset.leq(r1.lo, r2.lo) and lat.poset.leq(r1.hi, r2.hi))
-                        or (lat.poset.leq(r2.lo, r1.lo) and lat.poset.leq(r2.hi, r1.hi))):
+            leq = lat.poset.leq
+            for (lo1, hi1), (lo2, hi2) in itertools.combinations(histogram.extremal, 2):
+                if (leq(lo1, lo2) and leq(hi1, hi2)) or (leq(lo2, lo1) and leq(hi2, hi1)):
                     failures.append(f"conjecture counterexample: n={n}, extremal intervals "
-                                    f"({r1.lo},{r1.hi}) and ({r2.lo},{r2.hi}) are comparable")
-        left = sum(1 for r in records if r.dx + r.dybar == n - 1)
-        right = sum(1 for r in records if r.dxbar + r.dy == n - 1)
+                                    f"({lo1},{hi1}) and ({lo2},{hi2}) are comparable")
+        left = _count(counts, lambda c: c.dx + c.dybar == n - 1)
+        right = _count(counts, lambda c: c.dxbar + c.dy == n - 1)
         if left != right:
             failures.append(f"conjecture counterexample: n={n}, boundary counts "
                             f"(x,ybar)={left} and (xbar,y)={right} differ")
@@ -350,14 +361,9 @@ def check_real_rootedness(n_max, failures):
             if not ok:
                 failures.append(f"n={n}: specialization ({label}) = {f} "
                                 f"has a nonreal or nonnegative root")
-        records = _records(n)
-        dist = {}
-        for r in records:
-            if r.dx + r.dy == n - 1:
-                dist[r.dx] = dist.get(r.dx, 0) + 1
-        facet[str(n)] = [dist.get(i, 0) for i in range(n)]
+        table = distribution_table(tamari.interval_histogram(n).counts, "dx", "dy")
+        facet[str(n)] = [table.get((i, n - 1 - i), 0) for i in range(n)]
     return {"specializations": specializations, "facet_dx_distribution": facet}
-
 
 
 def run_suites(suite_ids, n_max):

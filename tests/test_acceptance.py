@@ -9,6 +9,7 @@ module is budgeted to run in well under a minute.
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -199,8 +200,8 @@ def test_criterion_08_canopy_tables(full_n9):
     ok = True
     for n in range(1, 8):
         recs = interval_statistics(n, with_q=False)
-        by_degree = distribution_table(recs, "dy", "dybar")
-        by_canopy = distribution_table(recs, "ll", "rr")
+        by_degree = distribution_table(Counter(recs), "dy", "dybar")
+        by_canopy = distribution_table(Counter(recs), "ll", "rr")
         ok = ok and by_degree == by_canopy
         if n <= 5:
             ok = ok and table_to_matrix(by_degree, n) == CANOPY_MATRICES[n]
@@ -228,7 +229,7 @@ def test_criterion_09_q_analogue():
             key = (r.q, r.dx, r.dy, r.dybar)
             terms[key] = terms.get(key, 0) + 1
         ok = ok and unit.coeffs[n] == MultiPoly(unit.vars, terms)
-        recs = interval_statistics(n)
+        recs = Counter(interval_statistics(n))
         ok = ok and distribution_table(recs, "q", "dy") == distribution_table(recs, "q", "dybar")
     report("criterion 09 q-analogue route + (q,y)=(q,ybar)", ok,
            f"{time.perf_counter() - start:.2f}s")

@@ -181,6 +181,26 @@ def test_interval_degrees_validation():
         PENTAGON.interval_degrees((1, 2))
 
 
+@pytest.mark.parametrize("query", [
+    lambda p, a: p.leq(a, 0),
+    lambda p, a: p.leq(0, a),
+    lambda p, a: p.interval_degrees((a, 2)),
+    lambda p, a: p.interval_degrees((0, a)),
+    lambda p, a: p.up_set(a),
+    lambda p, a: p.upper_covers(a),
+    lambda p, a: p.lower_covers(a),
+    lambda p, a: p.out_degree(a),
+    lambda p, a: p.in_degree(a),
+], ids=["leq_lo", "leq_hi", "interval_degrees_lo", "interval_degrees_hi", "up_set",
+        "upper_covers", "lower_covers", "out_degree", "in_degree"])
+@pytest.mark.parametrize("element", [3, 7, -1, True, 1.0], ids=repr)
+def test_bad_elements_rejected(query, element):
+    # a negative index would silently read from the end of the cover lists
+    chain = FinitePoset(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=rf"element {element!r} .*\bm=3\b"):
+        query(chain, element)
+
+
 def test_interval_degrees_examples():
     assert PENTAGON.interval_degrees((0, 0)) == (0, 2, 0, 0)
     assert PENTAGON.interval_degrees((0, 4)) == (2, 0, 0, 2)

@@ -12,6 +12,7 @@ Covers: 4<2, 4<3, 3<1, 2<0, 1<0 (the pentagon).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from intervalence import (
     FinitePoset,
     Mode,
     MultiPoly,
+    SeriesT,
     SystemConfig,
     UniPoly,
     canopy,
@@ -39,10 +41,12 @@ from intervalence import (
 from intervalence.poset import INTERVAL_VARS, VALENCE_VARS
 from intervalence.tamari import (
     CSV_HEADER,
+    IntervalClass,
     IntervalStat,
     graft,
     is_composition_coarser,
     is_indecomposable,
+    interval_histogram,
     left_comb,
     right_comb,
     size,
@@ -282,6 +286,9 @@ def test_interval_statistics_validation():
             stats(10)
         with pytest.raises(ValueError):
             stats(8, with_q=True)
+    for n in (0, 10, 2.0):
+        with pytest.raises(ValueError):
+            interval_histogram(n)
 
 
 def test_interval_records_match_per_interval_definitions():
@@ -306,6 +313,25 @@ def test_interval_records_match_per_interval_definitions():
             assert r.sync == is_synchronous(lat, *iv)
 
 
+def test_interval_histogram_counts_the_records():
+    # the histogram against its definition: the records projected to their
+    # class, and the doubly-extremal pairs among them
+    for n in range(1, 8):
+        lat = tamari_lattice(n)
+        records = interval_statistics(n)
+        projected = Counter(
+            IntervalClass(r.dx, r.dy, r.dybar, r.dxbar, r.q, r.ll, r.rr, r.sync,
+                          r.lo == r.hi, r.lo == lat.minimum(), r.hi == lat.maximum())
+            for r in records)
+        histogram = interval_histogram(n)
+        assert histogram.counts == projected
+        assert sorted(histogram.extremal) == [
+            (r.lo, r.hi) for r in records if r.dx + r.dy == n - 1 == r.dxbar + r.dybar]
+    assert len(interval_histogram(7).counts) == 653
+    with pytest.raises(TypeError):
+        interval_histogram(2).counts[next(iter(interval_histogram(2).counts))] = 0
+
+
 def test_interval_statistics_is_not_cached():
     first, second = interval_statistics(3), interval_statistics(3)
     assert first == second
@@ -326,6 +352,7 @@ def full_system(n):
     tamari_lattice,
     interval_statistics,
     interval_valence_polynomial,
+    interval_histogram,
     full_system,
 ], ids=lambda f: f.__name__)
 def test_bool_sizes_rejected(build):
@@ -342,8 +369,12 @@ def test_bool_sizes_rejected(build):
     lambda: MultiPoly(("x",), {(1,): True}),
     lambda: UniPoly([True, 2]),
     lambda: tamari_lattice(3).as_index(True),
+    lambda: MultiPoly.variable(("x",), "x") ** True,
+    lambda: MultiPoly.variable(("x",), "x") * True,
+    lambda: SeriesT(("u",), 2) * True,
+    lambda: True * SeriesT(("u",), 2),
 ], ids=["poset_size", "cover", "constant", "exponent", "coefficient", "unipoly",
-        "tree_index"])
+        "tree_index", "power", "scalar", "series_scalar", "series_rscalar"])
 def test_bool_integers_rejected(build):
     # the JSON schemas promise ints; True would be written out as `true`
     with pytest.raises(ValueError):

@@ -5,10 +5,11 @@ predicates are sharp enough to notice a corrupted enumerator.
 
 import json
 import re
+from collections import Counter
 
 import pytest
 
-from intervalence import CheckReport, MultiPoly, run_suites, summarize_reports, tamari, verify
+from intervalence import CheckReport, MultiPoly, run_suites, summarize_reports, tamari
 from intervalence.verify import (
     BICUBIC_COUNTS,
     CANOPY_MATRICES,
@@ -62,7 +63,7 @@ def test_triangle_matrices_match_interval_poset_valences():
 def test_canopy_matrices_match_enumeration():
     # identical under either reading: (dy, dybar) degrees or canopy letters
     for n, matrix in CANOPY_MATRICES.items():
-        recs = interval_statistics(n, with_q=False)
+        recs = Counter(interval_statistics(n, with_q=False))
         by_degree = distribution_table(recs, "dy", "dybar")
         by_canopy = distribution_table(recs, "ll", "rr")
         assert table_to_matrix(by_degree, n) == [list(row) for row in matrix]
@@ -72,7 +73,7 @@ def test_canopy_matrices_match_enumeration():
 # ------------------------------------------------------------------ helpers
 
 def test_distribution_table_and_matrix_layout():
-    recs = interval_statistics(2, with_q=False)
+    recs = Counter(interval_statistics(2, with_q=False))
     table = distribution_table(recs, "dy", "dybar")
     assert table == {(0, 1): 1, (0, 0): 1, (1, 0): 1}
     # first statistic rightward, second upward: bottom-left is (0, 0)
@@ -130,35 +131,53 @@ def not_real_rooted(p):
     return MultiPoly.monomial(p.vars, {"x": 2}) + 1
 
 
-def bump_first_dy(records):
-    # record 0 is the diagonal interval at the maximum tree
-    return (records[0]._replace(dy=records[0].dy + 1),) + records[1:]
+def move_one_interval_to_dy_plus_one(histogram):
+    # the diagonal interval at the maximum tree moves to the class with dy + 1
+    counts = dict(histogram.counts)
+    cls = next(c for c in counts if c.diagonal and c.hi_maximal)
+    counts[cls] -= 1
+    if not counts[cls]:
+        del counts[cls]
+    moved = cls._replace(dy=cls.dy + 1)
+    counts[moved] = counts.get(moved, 0) + 1
+    return histogram._replace(counts=counts)
 
 
-# suite -> (data source in tamari, corruption at n = 3, n_range for --max-n 8)
+MOVED_CLASS = (r"n=3 IntervalClass\(dx=0, dy=1, dybar=2, dxbar=0, q=0, ll=0, rr=2, "
+               r"sync=True, diagonal=True, lo_minimal=False, hi_maximal=True\) \(1 interval\)")
+
+# suite -> (data source in tamari, corruption at n = 3, n_range for --max-n 8,
+#           witness pattern)
 CORRUPTIONS = {
-    "ternary": ("interval_valence_polynomial", bump_x_squared, (1, 8)),
-    "xxbar": ("interval_valence_polynomial", bump_x_squared, (1, 8)),
-    "triangle": ("interval_valence_polynomial", bump_x_squared, (1, 6)),
-    "sync": ("interval_statistics", bump_first_dy, (1, 7)),
-    "degree": ("interval_statistics", bump_first_dy, (1, 7)),
-    "distribution": ("interval_statistics", bump_first_dy, (1, 7)),
-    "conjectures": ("interval_statistics", bump_first_dy, (1, 7)),
-    "realroots": ("interval_valence_polynomial", not_real_rooted, (2, 7)),
+    "ternary": ("interval_valence_polynomial", bump_x_squared, (1, 8), r"\bn=3\b"),
+    "xxbar": ("interval_valence_polynomial", bump_x_squared, (1, 8), r"\bn=3\b"),
+    "triangle": ("interval_valence_polynomial", bump_x_squared, (1, 6), r"\bn=3\b"),
+    "sync": ("interval_histogram", move_one_interval_to_dy_plus_one, (1, 7),
+             MOVED_CLASS + r": sync=True but dy\+dybar=3"),
+    "degree": ("interval_histogram", move_one_interval_to_dy_plus_one, (1, 7),
+               MOVED_CLASS + r": dy = 0 does not match hi maximal"),
+    "distribution": ("interval_histogram", move_one_interval_to_dy_plus_one, (1, 7),
+                     r"n=3: \(dx,dy\) table differs from \(dy,dybar\) at cells "
+                     r"\{\(0, 0\): \(0, 1\), \(0, 1\): \(4, 3\), \(0, 2\): \(1, 0\), "
+                     r"\(1, 2\): \(0, 1\)\}"),
+    "conjectures": ("interval_histogram", move_one_interval_to_dy_plus_one, (1, 7),
+                    r"n=3, 4 intervals of total degree n-1 against 5 diagonal intervals"),
+    "realroots": ("interval_valence_polynomial", not_real_rooted, (2, 7), r"\bn=3\b"),
 }
 
 
 @pytest.fixture
-def uncached_records():
-    """Keep corrupted records out of the record suites' shared memo."""
-    verify._records.cache_clear()
+def uncached_histograms():
+    """Keep corrupted histograms out of the record suites' shared cache."""
+    cached = tamari.interval_histogram
+    cached.cache_clear()
     yield
-    verify._records.cache_clear()
+    cached.cache_clear()
 
 
 @pytest.mark.parametrize("suite_id", list(CORRUPTIONS))
-def test_each_suite_fails_on_corrupted_data(suite_id, monkeypatch, uncached_records):
-    source, corrupt, n_range = CORRUPTIONS[suite_id]
+def test_each_suite_fails_on_corrupted_data(suite_id, monkeypatch, uncached_histograms):
+    source, corrupt, n_range, witness = CORRUPTIONS[suite_id]
     original = getattr(tamari, source)
 
     def corrupted(n, *args):
@@ -169,6 +188,7 @@ def test_each_suite_fails_on_corrupted_data(suite_id, monkeypatch, uncached_reco
     report, = run_suites([suite_id], 8)
     assert report.status == "fail"
     assert re.search(r"\bn=3\b", report.witness), report.witness
+    assert re.search(witness, report.witness), report.witness
     assert report.n_range == n_range
 
 
