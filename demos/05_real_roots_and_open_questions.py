@@ -12,7 +12,6 @@ conjectural.
 
 from intervalence import (
     MultiPoly,
-    UniPoly,
     all_roots_real_negative,
     interval_valence_polynomial,
     run_suites,
@@ -36,8 +35,9 @@ for n in range(2, 8):
     p = interval_valence_polynomial(n)
     verdicts = []
     for label, binding in zip(names, bindings):
-        f = UniPoly.from_multipoly(p.substitute(binding, ("z",)))
-        f = f.shift_down(f.trailing_zero_order())  # allow roots at 0
+        f = p.substitute(binding, ("z",))
+        k = min(e for e, in f.terms)  # allow roots at 0: divide out z^k
+        f = MultiPoly(("z",), {(e - k,): c for (e,), c in f.terms.items()})
         verdicts.append(all_roots_real_negative(f))
     print(f"n={n}: all roots real and <= 0 for {names}: {verdicts}")
 
@@ -45,8 +45,8 @@ for n in range(2, 8):
 # Sturm chain certifies two negative real roots.
 p3 = interval_valence_polynomial(3).substitute(bindings[0], ("z",))
 print("\nDD_3(z,1,1,1) =", p3)
-for step in sturm_sequence(UniPoly.from_multipoly(p3)):
-    print("  sturm:", step.coeffs)
+for step in sturm_sequence(p3):
+    print("  sturm:", step)
 
 # ----------------------------------------------------------------------
 # The verification suites bundle every theorem-scale and conjecture-scale

@@ -8,7 +8,7 @@ equations as exact truncated power series so that the two routes can be
 cross-validated coefficient by coefficient.
 """
 
-from .polynomial import (MultiPoly, SeriesT, UniPoly, all_roots_real_negative,
+from .polynomial import (MultiPoly, SeriesT, all_roots_real_negative,
                          divided_difference, squarefree_part, sturm_sequence)
 from .poset import FinitePoset, are_isomorphic
 from .series import (Mode, SolverOutput, SystemConfig,
@@ -25,7 +25,7 @@ from .verify import CheckReport, run_suites, summarize_reports
 __version__ = "0.1.0"
 
 __all__ = [
-    "MultiPoly", "SeriesT", "UniPoly", "all_roots_real_negative",
+    "MultiPoly", "SeriesT", "all_roots_real_negative",
     "divided_difference", "squarefree_part", "sturm_sequence",
     "FinitePoset", "are_isomorphic",
     "Mode", "SolverOutput", "SystemConfig", "check_alternative_decomposition",

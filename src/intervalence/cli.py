@@ -158,14 +158,16 @@ def _cmd_verify(parser, args):
         reports = verify.run_suites(suites, args.max_n)
     except ValueError as exc:
         parser.error(str(exc))
+    ok = all(r.status != "fail" for r in reports)
     if args.format == "json":
         _write([_json_dump([r.to_dict() for r in reports])], args.output)
     else:
-        text = verify.summarize_reports(reports)
-        ok = all(r.passed() for r in reports)
-        text += "\n" + ("all suites passed" if ok else "FAILURES PRESENT")
-        _write([text], args.output)
-    return 0 if all(r.passed() for r in reports) else 1
+        skipped = sum(r.status == "skip" for r in reports)
+        verdict = "all suites passed" if ok else "FAILURES PRESENT"
+        if ok and skipped:
+            verdict += f" ({skipped} skipped)"
+        _write([verify.summarize_reports(reports) + "\n" + verdict], args.output)
+    return 0 if ok else 1
 
 
 def _cmd_table(parser, args):

@@ -3,15 +3,16 @@ real-rootedness certificates.
 
 Every coefficient is a Python integer, so all arithmetic in this module is
 exact; division (gcd, Sturm chains, exact quotients) is integer long division
-too, with no rationals.  Three types are provided:
+too, with no rationals.  Two types are provided:
 
 - ``MultiPoly``: a sparse polynomial over a fixed, ordered tuple of variable
   names.  Exponent vectors are tuples aligned with the variable tuple, and
   every renaming or change of universe is a ``substitute`` call.
 - ``SeriesT``: a power series in an implicit variable ``t``, truncated at a
   fixed exclusive order ``N``, whose coefficients are ``MultiPoly`` values.
-- ``UniPoly``: a dense univariate integer polynomial, used for Sturm-sequence
-  root counting.
+
+The Sturm-sequence root counting works on a ``MultiPoly`` over exactly one
+variable.
 
 Variable names are plain ASCII strings; ``xbar``, ``ybar`` and ``abar`` stand
 for the barred variables of the usual notation.
@@ -135,6 +136,8 @@ class MultiPoly:
         return len(self.terms) == 1
 
     def __eq__(self, other):
+        if type(other) is bool:
+            return NotImplemented
         if isinstance(other, int):
             return self.terms == MultiPoly.constant(self.vars, other).terms
         if not isinstance(other, MultiPoly):
@@ -503,171 +506,99 @@ class SeriesT:
         return f"SeriesT(vars={self.vars}, N={self.N})"
 
 
-class UniPoly:
-    """Dense univariate integer polynomial, low-to-high coefficients."""
+# Real-rootedness certificates.  These take a ``MultiPoly`` over exactly one
+# variable; the private helpers below read it as a univariate polynomial.
 
-    __slots__ = ("coeffs",)
+def _univariate(*polys):
+    for f in polys:
+        if not isinstance(f, MultiPoly):
+            raise TypeError(f"expected a MultiPoly, got {type(f).__name__}")
+        if len(f.vars) != 1:
+            raise ValueError(f"expected a polynomial in one variable, got universe {f.vars}")
 
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if type(c) is not int:
-                raise ValueError(f"non-integer coefficient {c!r}")
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
+def _degree(f):
+    """Degree in the single variable; -1 for the zero polynomial."""
+    return max((e for e, in f.terms), default=-1)
 
-    @classmethod
-    def from_multipoly(cls, p, name=None):
-        """Convert a polynomial that is effectively univariate.
 
-        Variables other than ``name`` must not occur.  When ``name`` is
-        omitted it is inferred (a constant converts with any universe).
-        """
-        live = [v for i, v in enumerate(p.vars) if any(e[i] for e in p.terms)]
-        if name is None:
-            if len(live) > 1:
-                raise ValueError(f"polynomial involves several variables: {live}")
-            name = live[0] if live else (p.vars[0] if p.vars else None)
-        elif [v for v in live if v != name]:
-            raise ValueError(f"polynomial involves {live}, not only {name!r}")
-        if name is None:
-            return cls([p.terms.get((), 0)] if p.terms else [])
-        i = p._position(name)
-        out = [0] * (p.degree_in(name) + 1) if p.terms else []
-        for exp, coeff in p.terms.items():
-            out[exp[i]] += coeff
-        return cls(out)
+def _lead(f):
+    return f.terms[(_degree(f),)]
 
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
 
-    def is_zero(self):
-        return not self.coeffs
+def _at_zero(f):
+    return f.terms.get((0,), 0)
 
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
+def _primitive(f):
+    """Divide out the content; the sign of the leading term is kept."""
+    g = gcd(*f.terms.values())
+    return MultiPoly._raw(f.vars, {e: c // g for e, c in f.terms.items()}) if g > 1 else f
 
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self):
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def shift_down(self, k):
-        """Divide by ``z**k``; the low ``k`` coefficients must vanish."""
-        if any(self.coeffs[:k]):
-            raise ValueError(f"polynomial not divisible by z^{k}")
-        return UniPoly(self.coeffs[k:])
-
-    def trailing_zero_order(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return 0
-
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def primitive(self):
-        """Divide out the content; the sign of the leading term is kept."""
-        g = self.content()
-        return UniPoly([c // g for c in self.coeffs]) if g > 1 else self
-
-    def __str__(self):
-        return _render([(self.coeffs[e], "z" if e == 1 else f"z^{e}" if e else "")
-                        for e in range(len(self.coeffs) - 1, -1, -1) if self.coeffs[e]])
-
-    def __repr__(self):
-        return f"UniPoly({self})"
+def _derivative(f):
+    return MultiPoly._raw(f.vars, {(e - 1,): e * c for (e,), c in f.terms.items() if e})
 
 
 def _remainder(a, b):
     """Remainder of ``a`` by ``b`` times a positive factor, made primitive.
 
     Each step scales the running remainder by ``|lc(b)| > 0`` so that the
-    division stays in the integers and the signs are those over the rationals."""
-    if b.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    den = b.coeffs
-    scale, sign = abs(den[-1]), (1 if den[-1] > 0 else -1)
-    rem = list(a.coeffs)
-    while len(rem) >= len(den):
-        q, shift = sign * rem[-1], len(rem) - len(den)
-        rem = [scale * c for c in rem]
-        for i, d in enumerate(den):
-            rem[shift + i] -= q * d
-        while rem and not rem[-1]:
-            rem.pop()
-    return UniPoly(rem).primitive()
+    division stays in the integers and the signs are those over the rationals.
+    Both callers pass a nonzero ``b``."""
+    db, lb = _degree(b), _lead(b)
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
+    rem = a
+    while _degree(rem) >= db:
+        step = MultiPoly._raw(a.vars, {(_degree(rem) - db,): sign * _lead(rem)})
+        rem = rem * scale - step * b
+    return _primitive(rem)
 
 
 def polynomial_gcd(f, g):
     """Primitive gcd of two integer polynomials, positive leading term."""
-    a, b = f.primitive(), g.primitive()
+    _univariate(f, g)
+    a, b = _primitive(f), _primitive(g)
     while not b.is_zero():
         a, b = b, _remainder(a, b)
-    if a.is_zero():
-        return a
-    return a if a.coeffs[-1] > 0 else -a
+    return -a if not a.is_zero() and _lead(a) < 0 else a
 
 
 def exact_quotient(f, g):
     """Quotient of integer polynomials; ``g`` must divide ``f`` over the integers."""
+    _univariate(f, g)
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    den = g.coeffs
-    rem = list(f.coeffs)
-    quo = [0] * max(len(rem) - len(den) + 1, 0)
-    while len(rem) >= len(den):
-        q, r = divmod(rem[-1], den[-1])
+    dg, lg = _degree(g), _lead(g)
+    quo, rem = MultiPoly.zero(f.vars), f
+    while _degree(rem) >= dg:
+        q, r = divmod(_lead(rem), lg)
         if r:
             break
-        shift = len(rem) - len(den)
-        quo[shift] = q
-        for i, d in enumerate(den):
-            rem[shift + i] -= q * d
-        while rem and not rem[-1]:
-            rem.pop()
-    if rem:
+        step = MultiPoly._raw(f.vars, {(_degree(rem) - dg,): q})
+        quo, rem = quo + step, rem - step * g
+    if not rem.is_zero():
         raise ValueError("division is not exact")
-    return UniPoly(quo)
+    return quo
 
 
 def squarefree_part(f):
     """The radical of ``f``: same roots, all simple."""
-    if f.degree() < 1:
-        return f.primitive()
-    g = polynomial_gcd(f, f.derivative())
-    if g.degree() < 1:
-        return f.primitive()
-    return exact_quotient(f.primitive(), g).primitive()
+    _univariate(f)
+    g = polynomial_gcd(f, _derivative(f))
+    return _primitive(exact_quotient(f, g) if _degree(g) > 0 else f)
 
 
 def sturm_sequence(f):
     """Sturm chain of ``f``: each step negates the remainder and is scaled
     to a primitive integer polynomial by a positive factor, which keeps all
     sign evaluations intact."""
-    chain = [f.primitive()]
-    d = f.derivative()
+    _univariate(f)
+    chain = [_primitive(f)]
+    d = _derivative(f)
     if not d.is_zero():
-        chain.append(d.primitive())
-        while chain[-1].degree() > 0:
+        chain.append(_primitive(d))
+        while _degree(chain[-1]) > 0:
             nxt = -_remainder(chain[-2], chain[-1])
             if nxt.is_zero():
                 break
@@ -675,25 +606,25 @@ def sturm_sequence(f):
     return chain
 
 
-def _sign_changes(signs):
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _sign_changes(values):
+    values = [v for v in values if v]
+    return sum(1 for a, b in zip(values, values[1:]) if a * b < 0)
 
 
 def _negative_roots(chain):
     """Distinct roots in ``(-inf, 0)`` of the head of a Sturm chain, which
     must not vanish at 0."""
-    at_minus_inf = [(1 if p.coeffs[-1] > 0 else -1) * (-1) ** p.degree() for p in chain]
-    at_zero = [(0 if p(0) == 0 else (1 if p(0) > 0 else -1)) for p in chain]
-    return _sign_changes(at_minus_inf) - _sign_changes(at_zero)
+    at_minus_inf = [_lead(p) * (-1) ** _degree(p) for p in chain]
+    return _sign_changes(at_minus_inf) - _sign_changes([_at_zero(p) for p in chain])
 
 
 def count_negative_real_roots(f):
     """Number of distinct real roots of ``f`` in the open interval
     ``(-inf, 0)``; requires ``f(0) != 0``."""
+    _univariate(f)
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f(0) == 0:
+    if _at_zero(f) == 0:
         raise ValueError("polynomial vanishes at 0; factor out z first")
     return _negative_roots(sturm_sequence(f))
 
@@ -703,17 +634,18 @@ def all_roots_real_negative(f):
 
     Constants (no roots) pass vacuously.  A zero constant term means a root
     at the origin, which fails the strict test; callers who want to allow it
-    should strip powers of ``z`` first (see ``UniPoly.shift_down``).
+    should divide out the power of the variable first.
     """
+    _univariate(f)
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f.degree() == 0:
+    if _degree(f) == 0:
         return True
-    if f.coeffs[-1] < 0:
+    if _lead(f) < 0:
         f = -f
     # necessary: a monic product of (z + r), r > 0, has all-positive coefficients
-    if any(c <= 0 for c in f.coeffs):
+    if len(f.terms) <= _degree(f) or any(c < 0 for c in f.terms.values()):
         return False
     # the chain ends in gcd(f, f'), so f has deg f - deg gcd distinct roots
     chain = sturm_sequence(f)
-    return _negative_roots(chain) == f.degree() - chain[-1].degree()
+    return _negative_roots(chain) == _degree(f) - _degree(chain[-1])

@@ -3,30 +3,44 @@
 Each suite recomputes a stated property from scratch by exhaustive
 enumeration at desk scale and returns a ``CheckReport``.  All arithmetic is
 exact; a suite either passes or carries a concrete witness of the first
-failure.  Reference counting sequences are frozen here with their OEIS ids,
-and the small reference coefficient tables were cross-checked by hand
-against direct enumeration at n <= 3.
+failure.  Reference counting sequences are computed from their closed
+forms, cited by OEIS id, and the small reference coefficient tables were
+cross-checked by hand against direct enumeration at n <= 3.
 """
 
 import itertools
 import time
 from dataclasses import asdict, dataclass, field
+from math import factorial
 
 from . import tamari
-from .polynomial import MultiPoly, UniPoly, all_roots_real_negative
+from .polynomial import MultiPoly, all_roots_real_negative
 from .series import Mode, SystemConfig, solve
 
-# interval counts of the rotation lattices, n >= 1 (OEIS A000260)
-INTERVAL_COUNTS = (1, 3, 13, 68, 399, 2530, 16965, 118668)
 
-# synchronous interval counts, n >= 1 (OEIS A000139)
-SYNCHRONOUS_COUNTS = (1, 2, 6, 22, 91, 408, 1938)
+def _interval_count(n):
+    """Intervals of the size-n lattice (OEIS A000260)."""
+    return 2 * factorial(4 * n + 1) // (factorial(n + 1) * factorial(3 * n + 2))
 
-# intervals of (x, y, ybar)-degree exactly n - 1, n >= 1 (OEIS A000257)
-BICUBIC_COUNTS = (1, 3, 12, 56, 288, 1584)
 
-# Motzkin numbers M_0, M_1, ... (OEIS A001006)
-MOTZKIN = (1, 1, 2, 4, 9, 21, 51)
+def _synchronous_count(n):
+    """Synchronous intervals of size n (OEIS A000139)."""
+    return 2 * factorial(3 * n) // (factorial(2 * n + 1) * factorial(n + 1))
+
+
+def _bicubic_count(n):
+    """Intervals of (x, y, ybar)-degree exactly n - 1 (OEIS A000257)."""
+    return 3 * 2 ** (n - 1) * factorial(2 * n) // (factorial(n) * factorial(n + 2))
+
+
+def _motzkin(n):
+    """Motzkin number M_n (OEIS A001006), by the recurrence
+    (k+2) M_k = (2k+1) M_(k-1) + 3(k-1) M_(k-2); M_(-1) is never read."""
+    prev, cur = 0, 1
+    for k in range(1, n + 1):
+        prev, cur = cur, ((2 * k + 1) * cur + 3 * (k - 1) * prev) // (k + 2)
+    return cur
+
 
 # coefficient tables of the two-variable enumerator of the interval poset,
 # displayed with the a-exponent increasing along rows and the abar-exponent
@@ -98,15 +112,17 @@ def _suite(check_id, n_max, cap, n_lo=1):
     requested ``n_max`` clamped to ``cap``; it appends a witness to
     ``failures`` for each broken property and returns its ``details``.  The
     registered ``check_*(n_max)`` times the body and builds the report, whose
-    n range is ``(n_lo, n_hi)``.
+    n range is ``(n_lo, n_hi)``.  An empty range proves nothing, so the body
+    is not called and the report's status is ``skip``.
     """
     def register(body):
         def check(n_max=n_max):
             start = time.perf_counter()
             n_hi = min(n_max, cap)
             failures = []
-            details = body(n_hi, failures)
-            return CheckReport(check_id, (n_lo, n_hi), "fail" if failures else "pass",
+            details = body(n_hi, failures) if n_hi >= n_lo else None
+            status = "skip" if n_hi < n_lo else "fail" if failures else "pass"
+            return CheckReport(check_id, (n_lo, n_hi), status,
                                failures[0] if failures else None,
                                round(time.perf_counter() - start, 3), details or {})
 
@@ -199,7 +215,7 @@ def check_support_triangle(n_max, failures):
         if got != expected:
             failures.append(f"n={n}: support {sorted(got)} differs from triangle")
         total = sum(two.terms.values())
-        if n <= len(INTERVAL_COUNTS) and total != INTERVAL_COUNTS[n - 1]:
+        if total != _interval_count(n):
             failures.append(f"n={n}: coefficient sum {total} != interval count")
         matrix = table_to_matrix({e: c for e, c in two.terms.items()}, n)
         matrices[str(n)] = matrix
@@ -211,7 +227,7 @@ def check_support_triangle(n_max, failures):
 @_suite("sync", n_max=7, cap=7)
 def check_synchronous_theorem(n_max, failures):
     """Equal canopies happen exactly at (y, ybar)-degree n - 1, and the
-    synchronous counts match both the frozen sequence and the one-variable
+    synchronous counts match both the closed form and the one-variable
     restricted system."""
     counts = []
     for n in range(1, n_max + 1):
@@ -222,9 +238,9 @@ def check_synchronous_theorem(n_max, failures):
                                 f"but dy+dybar={c.dy + c.dybar}")
         sync_count = _count(histogram, lambda c: c.sync)
         counts.append(sync_count)
-        if sync_count != SYNCHRONOUS_COUNTS[n - 1]:
+        if sync_count != _synchronous_count(n):
             failures.append(f"n={n}: {sync_count} synchronous intervals, "
-                            f"expected {SYNCHRONOUS_COUNTS[n - 1]}")
+                            f"expected {_synchronous_count(n)}")
     solved = solve(SystemConfig(Mode.SYNCHRONOUS_RESTRICTED, n_max + 1))
     series_counts = solved.intervals_at_unit().constant_values()[1:]
     if series_counts != counts:
@@ -255,9 +271,9 @@ def check_degree_properties(n_max, failures):
                 failures.append(f"{where}: dx+dy+dybar = {c.dx + c.dy + c.dybar} < n - 1")
         on_bound = _count(histogram, lambda c: c.dx + c.dy + c.dybar == n - 1)
         bicubic.append(on_bound)
-        if n <= len(BICUBIC_COUNTS) and on_bound != BICUBIC_COUNTS[n - 1]:
+        if on_bound != _bicubic_count(n):
             failures.append(f"n={n}: {on_bound} intervals on the (x,y,ybar) boundary, "
-                            f"expected {BICUBIC_COUNTS[n - 1]}")
+                            f"expected {_bicubic_count(n)}")
     solved = solve(SystemConfig(Mode.BICUBIC_RESTRICTED, n_max + 1))
     series_counts = solved.intervals_at_unit().constant_values()[1:]
     if series_counts != bicubic:
@@ -320,9 +336,9 @@ def check_remaining_conjectures(n_max, failures):
                             f"total degree n-1 against {len(lat.trees)} diagonal intervals")
         extremal = _count(counts, lambda c: c.dx + c.dy == n - 1 == c.dxbar + c.dybar)
         motzkin.append(extremal)
-        if extremal != MOTZKIN[n - 1]:
+        if extremal != _motzkin(n - 1):
             failures.append(f"conjecture counterexample: n={n}, {extremal} "
-                            f"doubly-extremal intervals, Motzkin predicts {MOTZKIN[n - 1]}")
+                            f"doubly-extremal intervals, Motzkin predicts {_motzkin(n - 1)}")
         if n <= 6:
             leq = lat.poset.leq
             for (lo1, hi1), (lo2, hi2) in itertools.combinations(histogram.extremal, 2):
@@ -352,9 +368,9 @@ def check_real_rootedness(n_max, failures):
                 ("z,1,1,1", {"x": z, "y": 1, "ybar": 1, "xbar": 1}),
                 ("z,z,1,1", {"x": z, "y": z, "ybar": 1, "xbar": 1}),
                 ("z,z,z,1", {"x": z, "y": z, "ybar": z, "xbar": 1})):
-            f = UniPoly.from_multipoly(p.substitute(bindings, ("z",)), "z")
-            k = f.trailing_zero_order()
-            reduced = f.shift_down(k)
+            f = p.substitute(bindings, ("z",))
+            k = min(e for e, in f.terms)
+            reduced = MultiPoly(("z",), {(e - k,): c for (e,), c in f.terms.items()})
             ok = all_roots_real_negative(reduced)
             specializations[f"n={n} ({label})"] = {
                 "polynomial": str(f), "zero_root_order": k, "real_rooted": ok}

@@ -1,19 +1,13 @@
 """Shared test utilities: random Hasse diagrams, closed-form oracles and
-univariate test polynomials."""
+the variable z of the one-variable test polynomials."""
 
 from collections import Counter
 from math import comb, factorial
 
-from intervalence import FinitePoset, MultiPoly, UniPoly
+from intervalence import FinitePoset, MultiPoly
 from intervalence.poset import INTERVAL_VARS
 
 Z = MultiPoly.variable(("z",), "z")
-
-
-def univariate(p):
-    """``UniPoly`` of a ``MultiPoly`` in z; tests build their univariate
-    inputs with ``MultiPoly`` arithmetic, since ``UniPoly`` has none."""
-    return UniPoly.from_multipoly(p, "z")
 
 
 def random_poset(rng, max_m=6):

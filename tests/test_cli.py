@@ -115,6 +115,24 @@ def test_verify_selected_suites_json(capsys):
     assert all(r["status"] == "pass" for r in reports)
 
 
+def test_verify_empty_range_is_skipped(capsys):
+    # realroots starts at n = 2, so --max-n 1 leaves it nothing to check
+    code, out = run(capsys, "verify", "--suite", "realroots,sync", "--max-n", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("SKIP realroots     n=2..1 ")
+    assert lines[1].startswith("PASS sync          n=1..1 ")
+    assert lines[-1] == "all suites passed (1 skipped)"
+    code, out = run(capsys, "verify", "--suite", "realroots,sync", "--max-n", "1",
+                    "--format", "json")
+    assert code == 0
+    skipped, passed = json.loads(out)
+    assert (skipped["check_id"], skipped["status"]) == ("realroots", "skip")
+    assert skipped["witness"] is None and skipped["details"] == {}
+    assert skipped["n_range"] == [2, 1]
+    assert passed["status"] == "pass"
+
+
 def test_verify_unknown_suite_is_usage_error():
     assert run_error("verify", "--suite", "nosuch") == 2
 

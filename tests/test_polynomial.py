@@ -8,15 +8,14 @@ import pytest
 from intervalence import (
     MultiPoly,
     SeriesT,
-    UniPoly,
     all_roots_real_negative,
     divided_difference,
     squarefree_part,
     sturm_sequence,
 )
-from intervalence.polynomial import count_negative_real_roots
+from intervalence.polynomial import count_negative_real_roots, exact_quotient, polynomial_gcd
 
-from helpers import Z, univariate
+from helpers import Z
 
 
 def P(vars, terms):
@@ -46,12 +45,29 @@ def test_construction_rejects_bad_exponents():
         P(("u",), {(-1,): 1})
 
 
+def test_construction_rejects_non_integer_coefficient():
+    with pytest.raises(ValueError, match="non-integer coefficient 1.5"):
+        MultiPoly(("z",), {(1,): 1.5})
+
+
 def test_scalar_coercion_and_equality():
     one = MultiPoly.constant(("u", "v"), 1)
     assert one + 0 == one
     assert one - 1 == MultiPoly.constant(("u", "v"), 0)
     assert P(("u",), {(1,): 2}) == P(("u",), {(1,): 2})
     assert P(("u",), {(1,): 2}) != P(("u",), {(1,): 3})
+
+
+def test_equality_with_bool_is_false():
+    # bool is not an integer constant here; comparing must not raise
+    x = MultiPoly.variable(("x",), "x")
+    one = MultiPoly.one(("x",))
+    assert not x == True  # noqa: E712
+    assert x != True  # noqa: E712
+    assert one != True and one == 1  # noqa: E712
+    assert True not in [x, one] and False not in [x, one]
+    with pytest.raises(ValueError, match="not in list"):
+        [x, one].index(True)
 
 
 def test_arithmetic_small_cases():
@@ -148,12 +164,10 @@ def test_exact_div_and_coefficient():
     lambda p: divided_difference(p, p, "z"),
     lambda p: MultiPoly.monomial(p.vars, {"z": 1}),
     lambda p: p.substitute({"z": 1}),
-    lambda p: UniPoly.from_multipoly(MultiPoly.constant(p.vars, 3), "z"),
     lambda p: p.permute_vars({"z": "x"}),
     lambda p: p.is_symmetric({"z": "x"}),
 ], ids=["coefficient", "exact_div", "degree_in", "support", "degree_range",
-        "divided_difference", "monomial", "substitute", "from_multipoly",
-        "permute_vars", "is_symmetric"])
+        "divided_difference", "monomial", "substitute", "permute_vars", "is_symmetric"])
 def test_coefficient_names_unknown_variable(op):
     p = P(("x", "y"), {(2, 1): 6})
     with pytest.raises(ValueError, match=r"'z'.*\('x', 'y'\)"):
@@ -314,25 +328,7 @@ def test_series_str_labels_orders():
     assert "[t^0] 1" in text and "[t^1] u" in text
 
 
-# ------------------------------------------------------------------ UniPoly
-
-def test_unipoly_basics():
-    p = UniPoly((5, 7, 1))  # z^2 + 7z + 5
-    assert p.degree() == 2
-    assert p(0) == 5 and p(-1) == -1
-    assert p.derivative() == UniPoly((7, 2))
-    assert UniPoly((0, 0, 3)).trailing_zero_order() == 2
-    assert UniPoly((0, 0, 3)).shift_down(2) == UniPoly((3,))
-    with pytest.raises(ValueError, match="non-integer coefficient 1.5"):
-        UniPoly([1.5, 2])
-
-
-def test_unipoly_from_multipoly():
-    p = P(("z",), {(2,): 1, (1,): 7, (0,): 5})
-    assert UniPoly.from_multipoly(p) == UniPoly((5, 7, 1))
-    with pytest.raises(ValueError):
-        UniPoly.from_multipoly(P(("z", "w"), {(1, 1): 1}))
-
+# ------------------------------------------------------------- Sturm chains
 
 def mono(*roots):
     """Monic integer polynomial with the given roots, as a ``MultiPoly`` in z."""
@@ -342,29 +338,43 @@ def mono(*roots):
     return p
 
 
+@pytest.mark.parametrize("call", [
+    sturm_sequence, squarefree_part, count_negative_real_roots, all_roots_real_negative,
+    lambda f: polynomial_gcd(f, f), lambda f: exact_quotient(f, f),
+], ids=["sturm_sequence", "squarefree_part", "count_negative_real_roots",
+        "all_roots_real_negative", "polynomial_gcd", "exact_quotient"])
+def test_sturm_entry_points_reject_bad_input(call):
+    with pytest.raises(ValueError, match=r"universe \('x', 'y'\)"):
+        call(P(("x", "y"), {(1, 0): 1, (0, 0): 1}))
+    with pytest.raises(ValueError, match=r"universe \(\)"):
+        call(MultiPoly.constant((), 3))
+    with pytest.raises(TypeError, match="MultiPoly"):
+        call([5, 7, 1])
+
+
 def test_squarefree_part():
-    p = univariate(mono(-1, -1, -2))  # (z+1)^2 (z+2)
-    assert squarefree_part(p) == univariate(mono(-1, -2))
+    p = mono(-1, -1, -2)  # (z+1)^2 (z+2)
+    assert squarefree_part(p) == mono(-1, -2)
 
 
 def test_sturm_sequence_sign_changes():
-    seq = sturm_sequence(UniPoly((5, 7, 1)))
-    assert seq[0] == UniPoly((5, 7, 1))
-    assert count_negative_real_roots(UniPoly((5, 7, 1))) == 2
-    assert count_negative_real_roots(UniPoly((1, 0, 1))) == 0  # z^2 + 1
+    seq = sturm_sequence(Z**2 + 7 * Z + 5)
+    assert seq[0] == Z**2 + 7 * Z + 5
+    assert count_negative_real_roots(Z**2 + 7 * Z + 5) == 2
+    assert count_negative_real_roots(Z**2 + 1) == 0
 
 
 @pytest.mark.parametrize(
     "poly,expected",
     [
-        (UniPoly((5, 7, 1)), True),  # z^2 + 7z + 5: roots (-7 ± sqrt(29))/2
-        (UniPoly((1, 0, 1)), False),  # z^2 + 1: imaginary pair
-        (univariate(mono(-1, -2, -3, -4, -5)), True),
-        (univariate(mono(-1) * (Z**2 + 1)), False),  # one real root, two imaginary
-        (univariate(mono(-2, -2, -3)), True),  # multiple root still counts
-        (UniPoly((-1, 0, 1)), False),  # z^2 - 1 has a positive root
-        (UniPoly((0, 1)), False),  # root at zero is not negative
-        (UniPoly((3,)), True),  # nonzero constant: vacuous
+        (Z**2 + 7 * Z + 5, True),  # roots (-7 ± sqrt(29))/2
+        (Z**2 + 1, False),  # imaginary pair
+        (mono(-1, -2, -3, -4, -5), True),
+        (mono(-1) * (Z**2 + 1), False),  # one real root, two imaginary
+        (mono(-2, -2, -3), True),  # multiple root still counts
+        (Z**2 - 1, False),  # a positive root
+        (Z, False),  # root at zero is not negative
+        (MultiPoly.constant(("z",), 3), True),  # nonzero constant: vacuous
     ],
 )
 def test_all_roots_real_negative(poly, expected):
@@ -373,14 +383,14 @@ def test_all_roots_real_negative(poly, expected):
 
 def test_all_roots_real_negative_rejects_zero():
     with pytest.raises(ValueError):
-        all_roots_real_negative(UniPoly(()))
+        all_roots_real_negative(MultiPoly.zero(("z",)))
 
 
 def test_all_roots_real_negative_random_products():
     rng = random.Random(4242)
     for _ in range(30):
         roots = [-rng.randint(1, 9) for _ in range(rng.randint(1, 5))]
-        assert all_roots_real_negative(univariate(mono(*roots)))
+        assert all_roots_real_negative(mono(*roots))
         # Injecting an irreducible quadratic factor must flip the verdict.
-        spoiled = univariate(mono(*roots) * (Z**2 + rng.randint(1, 5)))
+        spoiled = mono(*roots) * (Z**2 + rng.randint(1, 5))
         assert not all_roots_real_negative(spoiled)

@@ -1,4 +1,6 @@
-"""Property tests for substitution and renaming (test-only ``hypothesis``)."""
+"""Property tests for the ring operations, substitution and renaming,
+divided differences, Sturm root counts and the tree text codec (test-only
+``hypothesis``)."""
 
 import pytest
 
@@ -7,7 +9,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from intervalence import MultiPoly  # noqa: E402
+from intervalence import MultiPoly, decode, divided_difference, encode  # noqa: E402
+from intervalence.polynomial import count_negative_real_roots  # noqa: E402
 
 VARS = ("u", "v", "x")
 TARGET = ("a", "b")
@@ -67,3 +70,44 @@ def test_with_universe_wider_and_back_is_identity(p, wider):
     assert widened.vars == tuple(wider)
     assert len(widened.terms) == len(p.terms)
     assert widened.with_universe(VARS) == p
+
+
+@bounded
+@given(polys(VARS), polys(VARS), polys(VARS))
+def test_ring_axioms(p, q, r):
+    zero, one = MultiPoly.zero(VARS), MultiPoly.one(VARS)
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and p * zero == zero
+    assert p - p == zero and p - q == p + (-q)
+
+
+@bounded
+@given(polys(VARS))
+def test_divided_difference_times_u_minus_one_round_trips(p):
+    u_minus_1 = MultiPoly.variable(VARS, "u") - 1
+    at_one = p.substitute({"u": 1})
+    d = divided_difference(p, at_one, "u")
+    assert d * u_minus_1 == p - at_one
+    assert divided_difference(p * u_minus_1, MultiPoly.zero(VARS), "u") == p
+
+
+@bounded
+@given(st.lists(st.integers(1, 12), max_size=7), st.integers(-4, 4).filter(bool))
+def test_negative_root_count_of_linear_factors(roots, scale):
+    z = MultiPoly.variable(("z",), "z")
+    f = MultiPoly.constant(("z",), scale)
+    for r in roots:
+        f = f * (z + r)
+    assert count_negative_real_roots(f) == len(set(roots))
+
+
+trees = st.recursive(st.none(), lambda sub: st.tuples(sub, sub), max_leaves=30)
+
+
+@bounded
+@given(trees)
+def test_decode_inverts_encode(t):
+    assert decode(encode(t)) == t

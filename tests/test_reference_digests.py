@@ -1,6 +1,7 @@
-"""The benchmark's six ``smoke`` outputs, run in process, still hash to the
-digests frozen in ``bench/reference.json`` (verify's ``wall_time`` masked
-by ``bench/checks.digest``)."""
+"""The benchmark's six ``smoke`` outputs and its ``full`` verify output, run
+in process, still hash to the digests frozen in ``bench/reference.json``
+(verify's ``wall_time`` masked by ``bench/checks.digest``).  This test reads
+the reference file and never writes it."""
 
 import importlib.util
 import json
@@ -22,11 +23,14 @@ def _load_checks():
 
 
 checks = _load_checks()
-SMOKE = json.loads((BENCH / "reference.json").read_text())["smoke"]
+REFERENCE = json.loads((BENCH / "reference.json").read_text())
+SMOKE = REFERENCE["smoke"]
+# the one ``full`` output cheap enough for tier-1 (about 0.5 s); it pins the
+# realroots suite through n = 7, where the smoke key stops at n = 5
+FULL_VERIFY = "cli verify --suite all --max-n 8 --format json"
 
 
-@pytest.mark.parametrize("key", sorted(SMOKE))
-def test_smoke_output_matches_reference_digest(key, capsys):
+def _digest(key, capsys):
     kind, *args = key.split()
     if kind == "cli":
         assert cli.main(args) == 0
@@ -36,4 +40,13 @@ def test_smoke_output_matches_reference_digest(key, capsys):
         out = solve(SystemConfig(Mode.CANOPY, int(args[1])))
         stdout = json.dumps(out.intervals.to_json(), sort_keys=True) + "\n"
     digest_kind = "verify_json" if args[0] == "verify" else "raw"
-    assert checks.digest(digest_kind, stdout.encode()) == SMOKE[key]
+    return checks.digest(digest_kind, stdout.encode())
+
+
+@pytest.mark.parametrize("key", sorted(SMOKE))
+def test_smoke_output_matches_reference_digest(key, capsys):
+    assert _digest(key, capsys) == SMOKE[key]
+
+
+def test_full_verify_output_matches_reference_digest(capsys):
+    assert _digest(FULL_VERIFY, capsys) == REFERENCE["full"][FULL_VERIFY]

@@ -22,7 +22,6 @@ from intervalence import (
     MultiPoly,
     SeriesT,
     SystemConfig,
-    UniPoly,
     canopy,
     composition,
     decode,
@@ -367,14 +366,13 @@ def test_bool_sizes_rejected(build):
     lambda: MultiPoly.constant(("x",), True),
     lambda: MultiPoly(("x",), {(True,): 2}),
     lambda: MultiPoly(("x",), {(1,): True}),
-    lambda: UniPoly([True, 2]),
     lambda: tamari_lattice(3).as_index(True),
     lambda: MultiPoly.variable(("x",), "x") ** True,
     lambda: MultiPoly.variable(("x",), "x") * True,
     lambda: SeriesT(("u",), 2) * True,
     lambda: True * SeriesT(("u",), 2),
-], ids=["poset_size", "cover", "constant", "exponent", "coefficient", "unipoly",
-        "tree_index", "power", "scalar", "series_scalar", "series_rscalar"])
+], ids=["poset_size", "cover", "constant", "exponent", "coefficient", "tree_index",
+        "power", "scalar", "series_scalar", "series_rscalar"])
 def test_bool_integers_rejected(build):
     # the JSON schemas promise ints; True would be written out as `true`
     with pytest.raises(ValueError):

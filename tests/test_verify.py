@@ -11,43 +11,51 @@ import pytest
 
 from intervalence import CheckReport, MultiPoly, run_suites, summarize_reports, tamari
 from intervalence.verify import (
-    BICUBIC_COUNTS,
     CANOPY_MATRICES,
-    INTERVAL_COUNTS,
-    MOTZKIN,
     SUITES,
-    SYNCHRONOUS_COUNTS,
     TRIANGLE_MATRICES,
+    _bicubic_count,
+    _interval_count,
+    _motzkin,
+    _synchronous_count,
     brute_force_weights,
     distribution_table,
     table_to_matrix,
 )
 from intervalence import interval_statistics
 
-from helpers import interval_count, motzkin, synchronous_count
+from helpers import bicubic_count, interval_count, motzkin, synchronous_count
 
 
 # ---------------------------------------------------------------- constants
 
 def test_interval_counts_match_closed_formula():
-    assert INTERVAL_COUNTS == tuple(interval_count(n) for n in range(1, 9))
+    # OEIS A000260
+    assert [_interval_count(n) for n in range(1, 9)] == [1, 3, 13, 68, 399, 2530, 16965, 118668]
+    assert [_interval_count(n) for n in range(1, 30)] == [interval_count(n) for n in range(1, 30)]
 
 
 def test_synchronous_counts_match_closed_formula():
-    assert SYNCHRONOUS_COUNTS == tuple(synchronous_count(n) for n in range(1, 8))
+    # OEIS A000139
+    assert [_synchronous_count(n) for n in range(1, 8)] == [1, 2, 6, 22, 91, 408, 1938]
+    assert ([_synchronous_count(n) for n in range(1, 30)]
+            == [synchronous_count(n) for n in range(1, 30)])
 
 
 def test_motzkin_constants_match_recurrence():
-    assert MOTZKIN == tuple(motzkin(n) for n in range(7))
+    # OEIS A001006; the test oracle uses the convolution recurrence instead
+    assert [_motzkin(n) for n in range(7)] == [1, 1, 2, 4, 9, 21, 51]
+    assert [_motzkin(n) for n in range(40)] == [motzkin(n) for n in range(40)]
 
 
 def test_bicubic_counts_match_brute_force():
-    for n, expected in enumerate(BICUBIC_COUNTS[:5], start=1):
-        got = sum(
-            1 for r in interval_statistics(n, with_q=False)
-            if r.dx + r.dy + r.dybar == n - 1
-        )
-        assert got == expected
+    # OEIS A000257, checked by enumeration through n = 7 (9152 intervals)
+    for n in range(1, 8):
+        counts = tamari.interval_histogram(n).counts
+        got = sum(k for c, k in counts.items() if c.dx + c.dy + c.dybar == n - 1)
+        assert got == _bicubic_count(n) == bicubic_count(n)
+    assert _bicubic_count(7) == 9152
+    assert [_bicubic_count(n) for n in range(1, 30)] == [bicubic_count(n) for n in range(1, 30)]
 
 
 def test_triangle_matrices_match_interval_poset_valences():
@@ -114,6 +122,18 @@ def test_summarize_reports_format():
     reports = run_suites(["sync"], 4)
     text = summarize_reports(reports)
     assert "PASS" in text and "sync" in text
+
+
+def test_empty_range_skips_the_body(monkeypatch):
+    def untouchable(n):
+        raise AssertionError(f"suite body ran for n={n}")
+
+    monkeypatch.setattr(tamari, "interval_valence_polynomial", untouchable)
+    report, = run_suites(["realroots"], 1)
+    assert (report.status, report.witness, report.details) == ("skip", None, {})
+    assert report.n_range == (2, 1)
+    assert not report.passed()
+    assert summarize_reports([report]).startswith("SKIP realroots")
 
 
 def test_failing_report_carries_witness():
@@ -212,10 +232,10 @@ def test_predicates_detect_any_single_coefficient_bump():
         {"x": "ybar", "ybar": "x"},
     )
     assert all(good.is_symmetric(s) for s in swaps)
-    assert sum(good.terms.values()) == INTERVAL_COUNTS[2]
+    assert sum(good.terms.values()) == interval_count(3)
     for exp, bad in corrupted_copies(good):
         symmetric = all(bad.is_symmetric(s) for s in swaps)
-        mass_ok = sum(bad.terms.values()) == INTERVAL_COUNTS[2]
+        mass_ok = sum(bad.terms.values()) == interval_count(3)
         assert not (symmetric and mass_ok), f"bump at {exp} went unnoticed"
 
 
@@ -226,5 +246,5 @@ def test_four_variable_corruption_breaks_duality_or_mass():
     swap = {"x": "xbar", "xbar": "x", "y": "ybar", "ybar": "y"}
     for exp, bad in corrupted_copies(good):
         dual_ok = bad.is_symmetric(swap)
-        mass_ok = sum(bad.terms.values()) == INTERVAL_COUNTS[2]
+        mass_ok = sum(bad.terms.values()) == interval_count(3)
         assert not (dual_ok and mass_ok), f"bump at {exp} went unnoticed"
