@@ -17,7 +17,7 @@ This script builds both on small posets and walks through the structural
 identities that make them useful.
 """
 
-from intervalence import FinitePoset, MultiPoly, are_isomorphic
+from intervalence import FinitePoset, MultiPoly
 
 # ----------------------------------------------------------------------
 # The pentagon: a five-element lattice with sides of different lengths.
@@ -68,6 +68,13 @@ print("\nD of Int(pentagon):", interval_poset.valence_polynomial())
 print("specialization matches:",
       specialized == interval_poset.valence_polynomial())
 
-# Int commutes with duality up to isomorphism.
-print("Int(dual) iso dual(Int):",
-      are_isomorphic(pentagon.dual().interval_poset()[0], interval_poset.dual()))
+# Int commutes with duality, by an explicit map: an interval (lo, hi) of the
+# dual is the interval (hi, lo) of the pentagon, and relabelling the covers
+# of Int(dual) that way gives exactly the covers of dual(Int).
+dual_interval_poset, dual_intervals = pentagon.dual().interval_poset()
+position = {iv: i for i, iv in enumerate(intervals)}
+flip = [position[(hi, lo)] for lo, hi in dual_intervals]
+relabelled = FinitePoset(dual_interval_poset.m,
+                         [(flip[u], flip[v]) for u, v in dual_interval_poset.covers])
+print("Int(dual) = dual(Int) under (lo, hi) -> (hi, lo):",
+      relabelled == interval_poset.dual())

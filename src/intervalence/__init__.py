@@ -10,7 +10,7 @@ cross-validated coefficient by coefficient.
 
 from .polynomial import (MultiPoly, SeriesT, all_roots_real_negative,
                          divided_difference, squarefree_part, sturm_sequence)
-from .poset import FinitePoset, are_isomorphic
+from .poset import FinitePoset
 from .series import (Mode, SolverOutput, SystemConfig,
                      check_alternative_decomposition, check_bridge_identity,
                      residual, solve)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MultiPoly", "SeriesT", "all_roots_real_negative",
     "divided_difference", "squarefree_part", "sturm_sequence",
-    "FinitePoset", "are_isomorphic",
+    "FinitePoset",
     "Mode", "SolverOutput", "SystemConfig", "check_alternative_decomposition",
     "check_bridge_identity", "residual", "solve",
     "TamariLattice", "canopy", "composition", "decode", "encode",

@@ -23,7 +23,6 @@ import json
 import sys
 
 from . import tamari, verify
-from .polynomial import MultiPoly
 from .series import (BICUBIC_RESIDUAL_COEFFS, SYNC_RESIDUAL_COEFFS, Mode,
                      SystemConfig, residual, solve)
 from .poset import INTERVAL_VARS
@@ -72,6 +71,8 @@ def _parse_spec(parser, text):
         name = name.strip()
         if name not in INTERVAL_VARS:
             parser.error(f"unknown variable {name!r}; choose from {INTERVAL_VARS}")
+        if name in bindings:
+            parser.error(f"variable {name!r} substituted twice")
         try:
             bindings[name] = int(value)
         except ValueError:
@@ -80,13 +81,11 @@ def _parse_spec(parser, text):
 
 
 def _cmd_poly(parser, args):
-    p = tamari.interval_valence_polynomial(args.n)
     if args.two_var:
+        if args.spec:
+            parser.error("--spec does not apply to --two-var")
         lattice_poly = tamari.valence_polynomial(args.n)
-        a = MultiPoly.variable(("a", "abar"), "a")
-        abar = MultiPoly.variable(("a", "abar"), "abar")
-        two = p.substitute({"x": a, "y": a, "ybar": abar, "xbar": abar}, ("a", "abar"))
-        matrix = verify.table_to_matrix({e: c for e, c in two.terms.items()}, args.n)
+        _, matrix = verify.interval_triangle(args.n)
         if args.format == "json":
             _write([_json_dump({"valence": lattice_poly.to_json(),
                                 "interval_triangle": matrix})], args.output)
@@ -98,6 +97,7 @@ def _cmd_poly(parser, args):
             lines += _matrix_lines(matrix)
             _write(["\n".join(lines)], args.output)
         return 0
+    p = tamari.interval_valence_polynomial(args.n)
     if args.spec:
         bindings = _parse_spec(parser, args.spec)
         remaining = tuple(v for v in INTERVAL_VARS if v not in bindings)

@@ -31,6 +31,14 @@ def _display_key(exp):
     return (-sum(exp), tuple(reversed(exp)))
 
 
+def _universe(vars):
+    """``vars`` as a tuple, checked to name each variable once."""
+    vars = tuple(vars)
+    if len(set(vars)) != len(vars):
+        raise ValueError(f"duplicate variable in universe {vars}")
+    return vars
+
+
 def _render(terms):
     """Text such as ``3 x y^2 - z + 1`` from ``(coeff, monomial)`` pairs,
     highest term first; ``monomial`` is ``"x y^2"``, or ``""`` for 1."""
@@ -57,9 +65,7 @@ class MultiPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars, terms=None):
-        vars = tuple(vars)
-        if len(set(vars)) != len(vars):
-            raise ValueError(f"duplicate variable in universe {vars}")
+        vars = _universe(vars)
         clean = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(exp)
@@ -89,11 +95,11 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, vars):
-        return cls._raw(tuple(vars), {})
+        return cls._raw(_universe(vars), {})
 
     @classmethod
     def constant(cls, vars, c):
-        vars = tuple(vars)
+        vars = _universe(vars)
         if type(c) is not int:
             raise ValueError(f"non-integer constant {c!r}")
         return cls._raw(vars, {(0,) * len(vars): c} if c else {})
@@ -236,7 +242,7 @@ class MultiPoly:
         values over the target universe.  Unbound variables must exist in the
         target universe and are carried over unchanged.
         """
-        target = tuple(vars) if vars is not None else self.vars
+        target = _universe(vars) if vars is not None else self.vars
         bound = {}
         for name, val in bindings.items():
             self._position(name)  # raises for a name outside the universe

@@ -290,66 +290,3 @@ class FinitePoset:
     def from_json(cls, data):
         return cls(data["m"], [tuple(c) for c in data["covers"]])
 
-
-def _element_profiles(p):
-    """Per-element invariant (in, out, height, depth) used to prune search."""
-    height = [0] * p.m
-    for v in p.topological_order():
-        for w in p.upper_covers(v):
-            height[w] = max(height[w], height[v] + 1)
-    depth = [0] * p.m
-    for v in reversed(p.topological_order()):
-        for w in p.lower_covers(v):
-            depth[w] = max(depth[w], depth[v] + 1)
-    return [(p.in_degree(v), p.out_degree(v), height[v], depth[v]) for v in range(p.m)]
-
-
-def are_isomorphic(p, q):
-    """Brute-force poset isomorphism test, meant for small posets.
-
-    Elements are matched within classes of equal local profile, extending a
-    partial map only when it preserves covers in both directions.
-    """
-    if p.m != q.m or len(p.covers) != len(q.covers):
-        return False
-    prof_p = _element_profiles(p)
-    prof_q = _element_profiles(q)
-    if sorted(prof_p) != sorted(prof_q):
-        return False
-    candidates = [[w for w in range(q.m) if prof_q[w] == prof_p[v]] for v in range(p.m)]
-    order = sorted(range(p.m), key=lambda v: len(candidates[v]))
-    image = [-1] * p.m
-    used = [False] * q.m
-
-    def consistent(v, w):
-        for v2 in p.upper_covers(v):
-            if image[v2] >= 0 and image[v2] not in q.upper_covers(w):
-                return False
-        for v2 in p.lower_covers(v):
-            if image[v2] >= 0 and image[v2] not in q.lower_covers(w):
-                return False
-        for v2 in order:
-            w2 = image[v2]
-            if w2 < 0:
-                continue
-            if (v2 in p.upper_covers(v)) != (w2 in q.upper_covers(w)):
-                return False
-            if (v2 in p.lower_covers(v)) != (w2 in q.lower_covers(w)):
-                return False
-        return True
-
-    def extend(k):
-        if k == p.m:
-            return True
-        v = order[k]
-        for w in candidates[v]:
-            if not used[w] and consistent(v, w):
-                image[v] = w
-                used[w] = True
-                if extend(k + 1):
-                    return True
-                image[v] = -1
-                used[w] = False
-        return False
-
-    return extend(0)

@@ -38,30 +38,28 @@ def encode(t):
 
 
 def decode(text):
+    """The tree written as ``text`` (see ``encode``), parsed with an explicit
+    stack so that the nesting depth is not bounded by the recursion limit."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError(f"unexpected end of tree text {text!r}")
-        tok = tokens[pos]
-        pos += 1
+    open_nodes = []  # the children read so far of each unclosed node
+    for pos, tok in enumerate(tokens):
+        if tok == "(":
+            open_nodes.append([])
+            continue
         if tok == "o":
-            return None
-        if tok != "(":
+            node = None
+        elif tok == ")" and open_nodes and len(open_nodes[-1]) == 2:
+            node = tuple(open_nodes.pop())
+        else:
             raise ValueError(f"unexpected token {tok!r} in {text!r}")
-        left = parse()
-        right = parse()
-        if pos >= len(tokens) or tokens[pos] != ")":
+        if not open_nodes:
+            if pos != len(tokens) - 1:
+                raise ValueError(f"trailing tokens in {text!r}")
+            return node
+        if len(open_nodes[-1]) == 2:
             raise ValueError(f"missing ')' in {text!r}")
-        pos += 1
-        return (left, right)
-
-    tree = parse()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in {text!r}")
-    return tree
+        open_nodes[-1].append(node)
+    raise ValueError(f"unexpected end of tree text {text!r}")
 
 
 @lru_cache(maxsize=None)

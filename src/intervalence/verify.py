@@ -15,6 +15,7 @@ from math import factorial
 
 from . import tamari
 from .polynomial import MultiPoly, all_roots_real_negative
+from .poset import VALENCE_VARS
 from .series import Mode, SystemConfig, solve
 
 
@@ -105,18 +106,18 @@ class CheckReport:
 SUITES = {}
 
 
-def _suite(check_id, n_max, cap, n_lo=1):
+def _suite(check_id, cap, n_lo=1):
     """Register a suite body under ``check_id`` in ``SUITES``.
 
     The body is called as ``body(n_hi, failures)`` with ``n_hi`` the
     requested ``n_max`` clamped to ``cap``; it appends a witness to
     ``failures`` for each broken property and returns its ``details``.  The
-    registered ``check_*(n_max)`` times the body and builds the report, whose
-    n range is ``(n_lo, n_hi)``.  An empty range proves nothing, so the body
-    is not called and the report's status is ``skip``.
+    registered ``check_*(n_max=cap)`` times the body and builds the report,
+    whose n range is ``(n_lo, n_hi)``.  An empty range proves nothing, so
+    the body is not called and the report's status is ``skip``.
     """
     def register(body):
-        def check(n_max=n_max):
+        def check(n_max=cap):
             start = time.perf_counter()
             n_hi = min(n_max, cap)
             failures = []
@@ -167,27 +168,47 @@ def table_to_matrix(table, n):
     return [[table.get((c, n - 1 - r), 0) for c in range(n)] for r in range(n)]
 
 
+def interval_triangle(n):
+    """The two-variable view of the size-n lattice: ``DD_n(a, a, abar, abar)``,
+    the valence polynomial of its interval poset, and that polynomial's
+    coefficient matrix on the n x n grid (``table_to_matrix`` layout)."""
+    a = MultiPoly.variable(VALENCE_VARS, "a")
+    abar = MultiPoly.variable(VALENCE_VARS, "abar")
+    two = tamari.interval_valence_polynomial(n).substitute(
+        {"x": a, "y": a, "ybar": abar, "xbar": abar}, VALENCE_VARS)
+    return two, table_to_matrix(two.terms, n)
+
+
+def _check_restricted_counts(mode, counts, failures):
+    """Cross-check the counts enumerated for n = 1 .. len(counts) against
+    the one-variable restricted catalytic system of ``mode``."""
+    solved = solve(SystemConfig(mode, len(counts) + 1))
+    series_counts = solved.intervals_at_unit().constant_values()[1:]
+    if series_counts != counts:
+        failures.append(f"restricted system gives {series_counts}, enumeration gives {counts}")
+
+
 def brute_force_weights(n):
     """The (x, y, ybar) enumerator of all intervals, xbar projected to 1."""
     p = tamari.interval_valence_polynomial(n)
     return p.substitute({"xbar": 1}, ("x", "y", "ybar"))
 
 
-@_suite("ternary", n_max=7, cap=8)
+@_suite("ternary", cap=8)
 def check_ternary_symmetry(n_max, failures):
     """Full S3 symmetry of the enumerator on {x, y, ybar} once xbar = 1,
-    and on {y, ybar, xbar} once x = 1."""
+    and on {y, ybar, xbar} once x = 1, checked on the two transpositions
+    that generate S3."""
     for n in range(1, n_max + 1):
         p = tamari.interval_valence_polynomial(n)
-        for kept, names in (("xbar", ("x", "y", "ybar")), ("x", ("y", "ybar", "xbar"))):
-            proj = p.substitute({kept: 1}, names)
-            for perm in itertools.permutations(names):
-                mapping = dict(zip(names, perm))
-                if not proj.is_symmetric(mapping):
-                    failures.append(f"n={n}: {kept}=1 projection not invariant under {mapping}")
+        for kept, (u, v, w) in (("xbar", ("x", "y", "ybar")), ("x", ("y", "ybar", "xbar"))):
+            proj = p.substitute({kept: 1}, (u, v, w))
+            for swap in ({u: v, v: u}, {v: w, w: v}):
+                if not proj.is_symmetric(swap):
+                    failures.append(f"n={n}: {kept}=1 projection not invariant under {swap}")
 
 
-@_suite("xxbar", n_max=7, cap=8)
+@_suite("xxbar", cap=8)
 def check_x_xbar_conjecture(n_max, failures):
     """Invariance of the full four-variable enumerator under swapping x with
     xbar alone, and y with ybar alone (conjectural; verified exhaustively)."""
@@ -199,17 +220,14 @@ def check_x_xbar_conjecture(n_max, failures):
             failures.append(f"conjecture counterexample: n={n}, y <-> ybar changes the enumerator")
 
 
-@_suite("triangle", n_max=5, cap=6)
+@_suite("triangle", cap=6)
 def check_support_triangle(n_max, failures):
     """Support of the two-variable enumerator of the interval poset: the
     staircase triangle i + j >= n - 1 inside the (n-1) x (n-1) box, with the
     full coefficient matrices pinned for n <= 5."""
     matrices = {}
-    a = MultiPoly.variable(("a", "abar"), "a")
-    abar = MultiPoly.variable(("a", "abar"), "abar")
     for n in range(1, n_max + 1):
-        p = tamari.interval_valence_polynomial(n)
-        two = p.substitute({"x": a, "y": a, "ybar": abar, "xbar": abar}, ("a", "abar"))
+        two, matrix = interval_triangle(n)
         expected = {(i, j) for i in range(n) for j in range(n) if i + j >= n - 1}
         got = two.support()
         if got != expected:
@@ -217,14 +235,13 @@ def check_support_triangle(n_max, failures):
         total = sum(two.terms.values())
         if total != _interval_count(n):
             failures.append(f"n={n}: coefficient sum {total} != interval count")
-        matrix = table_to_matrix({e: c for e, c in two.terms.items()}, n)
         matrices[str(n)] = matrix
         if n in TRIANGLE_MATRICES and matrix != TRIANGLE_MATRICES[n]:
             failures.append(f"n={n}: coefficient matrix {matrix} != reference")
     return {"matrices": matrices}
 
 
-@_suite("sync", n_max=7, cap=7)
+@_suite("sync", cap=7)
 def check_synchronous_theorem(n_max, failures):
     """Equal canopies happen exactly at (y, ybar)-degree n - 1, and the
     synchronous counts match both the closed form and the one-variable
@@ -241,14 +258,11 @@ def check_synchronous_theorem(n_max, failures):
         if sync_count != _synchronous_count(n):
             failures.append(f"n={n}: {sync_count} synchronous intervals, "
                             f"expected {_synchronous_count(n)}")
-    solved = solve(SystemConfig(Mode.SYNCHRONOUS_RESTRICTED, n_max + 1))
-    series_counts = solved.intervals_at_unit().constant_values()[1:]
-    if series_counts != counts:
-        failures.append(f"restricted system gives {series_counts}, enumeration gives {counts}")
+    _check_restricted_counts(Mode.SYNCHRONOUS_RESTRICTED, counts, failures)
     return {"counts": counts}
 
 
-@_suite("degree", n_max=7, cap=7)
+@_suite("degree", cap=7)
 def check_degree_properties(n_max, failures):
     """Degree-zero characterisations, the five pair bounds, the lower bound
     dx + dy + dybar >= n - 1 and the counts on its boundary."""
@@ -274,18 +288,15 @@ def check_degree_properties(n_max, failures):
         if on_bound != _bicubic_count(n):
             failures.append(f"n={n}: {on_bound} intervals on the (x,y,ybar) boundary, "
                             f"expected {_bicubic_count(n)}")
-    solved = solve(SystemConfig(Mode.BICUBIC_RESTRICTED, n_max + 1))
-    series_counts = solved.intervals_at_unit().constant_values()[1:]
-    if series_counts != bicubic:
-        failures.append(f"restricted system gives {series_counts}, enumeration gives {bicubic}")
+    _check_restricted_counts(Mode.BICUBIC_RESTRICTED, bicubic, failures)
     return {"bicubic_counts": bicubic}
 
 
-@_suite("distribution", n_max=7, cap=7)
+@_suite("distribution", cap=7)
 def check_distribution_equalities(n_max, failures):
     """Joint distribution identities: the pair tables forced by the ternary
     symmetries, the canopy table against (dy, dybar), the printed tables for
-    n <= 5, and the q tables (q, dy) == (q, dybar) for n <= 6."""
+    n <= 5, and the q tables (q, dy) == (q, dybar)."""
     matrices = {}
     for n in range(1, n_max + 1):
         histogram = tamari.interval_histogram(n).counts
@@ -306,20 +317,19 @@ def check_distribution_equalities(n_max, failures):
         matrices[str(n)] = matrix
         if n in CANOPY_MATRICES and matrix != CANOPY_MATRICES[n]:
             failures.append(f"n={n}: (dy,dybar) matrix {matrix} != reference")
-        if n <= 6:
-            qy = distribution_table(histogram, "q", "dy")
-            qybar = distribution_table(histogram, "q", "dybar")
-            if qy != qybar:
-                failures.append(f"n={n}: (q,dy) table differs from (q,dybar) "
-                                f"at cells {_differences(qy, qybar)}")
+        qy = distribution_table(histogram, "q", "dy")
+        qybar = distribution_table(histogram, "q", "dybar")
+        if qy != qybar:
+            failures.append(f"n={n}: (q,dy) table differs from (q,dybar) "
+                            f"at cells {_differences(qy, qybar)}")
     return {"matrices": matrices}
 
 
-@_suite("conjectures", n_max=7, cap=7)
+@_suite("conjectures", cap=7)
 def check_remaining_conjectures(n_max, failures):
     """Exhaustive evidence for the open statements: only diagonal intervals
     reach total degree n - 1; the doubly-extremal intervals are counted by
-    Motzkin numbers, form an antichain (n <= 6), and the two companion
+    Motzkin numbers, form an antichain, and the two companion
     boundary counts agree."""
     motzkin = []
     for n in range(1, n_max + 1):
@@ -339,12 +349,11 @@ def check_remaining_conjectures(n_max, failures):
         if extremal != _motzkin(n - 1):
             failures.append(f"conjecture counterexample: n={n}, {extremal} "
                             f"doubly-extremal intervals, Motzkin predicts {_motzkin(n - 1)}")
-        if n <= 6:
-            leq = lat.poset.leq
-            for (lo1, hi1), (lo2, hi2) in itertools.combinations(histogram.extremal, 2):
-                if (leq(lo1, lo2) and leq(hi1, hi2)) or (leq(lo2, lo1) and leq(hi2, hi1)):
-                    failures.append(f"conjecture counterexample: n={n}, extremal intervals "
-                                    f"({lo1},{hi1}) and ({lo2},{hi2}) are comparable")
+        leq = lat.poset.leq
+        for (lo1, hi1), (lo2, hi2) in itertools.combinations(histogram.extremal, 2):
+            if (leq(lo1, lo2) and leq(hi1, hi2)) or (leq(lo2, lo1) and leq(hi2, hi1)):
+                failures.append(f"conjecture counterexample: n={n}, extremal intervals "
+                                f"({lo1},{hi1}) and ({lo2},{hi2}) are comparable")
         left = _count(counts, lambda c: c.dx + c.dybar == n - 1)
         right = _count(counts, lambda c: c.dxbar + c.dy == n - 1)
         if left != right:
@@ -353,7 +362,7 @@ def check_remaining_conjectures(n_max, failures):
     return {"motzkin_counts": motzkin}
 
 
-@_suite("realroots", n_max=7, cap=7, n_lo=2)
+@_suite("realroots", cap=7, n_lo=2)
 def check_real_rootedness(n_max, failures):
     """Real-rootedness of the one-variable specializations z/1/1/1, z/z/1/1
     and z/z/z/1 of (x, y, ybar, xbar): after factoring out the power of z,

@@ -35,6 +35,18 @@ def random_poset(rng, max_m=6):
     return FinitePoset(m, covers)
 
 
+def interval_poset_dual_commutes(p):
+    """Int(P*) equals Int(P)* under the map (lo, hi) -> (hi, lo): relabelled
+    that way, the covers of ``P.dual().interval_poset()`` are the covers of
+    the dual of ``P.interval_poset()``."""
+    dual_ip, dual_ivs = p.dual().interval_poset()
+    ip, ivs = p.interval_poset()
+    position = {iv: i for i, iv in enumerate(ivs)}
+    flip = [position[(hi, lo)] for lo, hi in dual_ivs]
+    relabelled = FinitePoset(dual_ip.m, [(flip[u], flip[v]) for u, v in dual_ip.covers])
+    return relabelled == ip.dual()
+
+
 def interval_degree_histogram(p):
     """Oracle for the interval kernel: ``DD_P`` summed one interval at a
     time from ``interval_degrees`` over ``intervals()``."""

@@ -60,10 +60,15 @@ def test_poly_csv_header(capsys):
     assert len(lines) == 1 + len(interval_valence_polynomial(2).terms)
 
 
-def test_poly_rejects_bad_spec():
+def test_poly_rejects_bad_spec(capsys):
     assert run_error("poly", "--n", "3", "--spec", "z=1") == 2
     assert run_error("poly", "--n", "3", "--spec", "x") == 2
     assert run_error("poly", "--n", "3", "--spec", "x=two") == 2
+    capsys.readouterr()
+    assert run_error("poly", "--n", "3", "--two-var", "--spec", "x=2") == 2
+    assert "--spec does not apply to --two-var" in capsys.readouterr().err
+    assert run_error("poly", "--n", "3", "--spec", "x=1,x=2") == 2
+    assert "variable 'x' substituted twice" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- series

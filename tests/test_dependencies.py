@@ -1,12 +1,19 @@
 """The package keeps its no-runtime-dependency contract: every absolute
 import in ``src/intervalence`` names a standard-library module.  ``sympy``
-and ``hypothesis`` serve the tests only."""
+and ``hypothesis`` serve the tests only.  Every exported name exists."""
 
 import ast
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "intervalence"
+
+
+def test_every_exported_name_resolves():
+    import intervalence
+
+    missing = [name for name in intervalence.__all__ if not hasattr(intervalence, name)]
+    assert not missing, missing
 
 
 def test_package_imports_only_the_standard_library():

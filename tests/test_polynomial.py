@@ -50,6 +50,20 @@ def test_construction_rejects_non_integer_coefficient():
         MultiPoly(("z",), {(1,): 1.5})
 
 
+X_PLUS_ONE = MultiPoly.variable(("x", "y"), "x") + 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MultiPoly(("a", "a")),
+    lambda: MultiPoly.zero(("a", "a")),
+    lambda: MultiPoly.constant(("a", "a"), 3),
+    lambda: X_PLUS_ONE.substitute({"x": 1, "y": 2}, ("a", "a")),
+], ids=["init", "zero", "constant", "substitute"])
+def test_universe_names_each_variable_once(build):
+    with pytest.raises(ValueError, match=r"duplicate variable in universe \('a', 'a'\)"):
+        build()
+
+
 def test_scalar_coercion_and_equality():
     one = MultiPoly.constant(("u", "v"), 1)
     assert one + 0 == one

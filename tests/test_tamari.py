@@ -79,6 +79,33 @@ def test_decode_rejects_malformed_text(text):
         decode(text)
 
 
+def test_decode_parses_deep_text():
+    # a right comb 5000 deep, past the recursion limit; walked along its
+    # right spine, since == on deeply nested tuples recurses too
+    tree = decode("(o " * 5000 + "o" + ")" * 5000)
+    depth = 0
+    while tree is not None:
+        assert tree[0] is None
+        tree = tree[1]
+        depth += 1
+    assert depth == 5000
+
+
+@pytest.mark.parametrize("value", [
+    MultiPoly.variable(("x",), "x"),
+    SeriesT(("u",), 2),
+    FinitePoset(2, [(0, 1)]),
+    tamari_lattice(2),
+], ids=lambda v: type(v).__name__)
+def test_shared_values_refuse_attribute_assignment(value):
+    # the caches hand one object to every caller, so none may be changed
+    name = type(value).__slots__[0]
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError, match="immutable"):
+        value.extra = None
+
+
 def test_combs_and_size():
     assert right_comb(3) == (None, (None, (None, None)))
     assert left_comb(3) == (((None, None), None), None)

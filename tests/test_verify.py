@@ -212,6 +212,70 @@ def test_each_suite_fails_on_corrupted_data(suite_id, monkeypatch, uncached_hist
     assert report.n_range == n_range
 
 
+def shift_q_of_one_interval(histogram):
+    # one interval with dy != dybar moves to q + 1, which only the q tables read
+    counts = dict(histogram.counts)
+    cls = next(c for c in counts if c.dy != c.dybar)
+    counts[cls] -= 1
+    if not counts[cls]:
+        del counts[cls]
+    moved = cls._replace(q=cls.q + 1)
+    counts[moved] = counts.get(moved, 0) + 1
+    return histogram._replace(counts=counts)
+
+
+def add_comparable_extremal(histogram):
+    # (lo, top) lies above the doubly-extremal (lo, hi) in the interval order
+    top = tamari.tamari_lattice(7).maximum()
+    lo, hi = next((lo, hi) for lo, hi in histogram.extremal if hi != top)
+    return histogram._replace(extremal=histogram.extremal + ((lo, top),))
+
+
+# suite -> (corruption of the n = 7 histogram, witness pattern)
+N7_CORRUPTIONS = {
+    "distribution": (shift_q_of_one_interval,
+                     r"^n=7: \(q,dy\) table differs from \(q,dybar\) at cells"),
+    "conjectures": (add_comparable_extremal,
+                    r"^conjecture counterexample: n=7, extremal intervals "
+                    r"\(\d+,\d+\) and \(\d+,\d+\) are comparable$"),
+}
+
+
+@pytest.mark.parametrize("suite_id", list(N7_CORRUPTIONS))
+def test_n7_checks_fail_on_corrupted_data(suite_id, monkeypatch):
+    corrupt, witness = N7_CORRUPTIONS[suite_id]
+    original = tamari.interval_histogram
+
+    def corrupted(n):
+        data = original(n)
+        return corrupt(data) if n == 7 else data
+
+    monkeypatch.setattr(tamari, "interval_histogram", corrupted)
+    report, = run_suites([suite_id], 7)
+    assert report.status == "fail"
+    assert re.search(witness, report.witness), report.witness
+
+
+def test_ternary_checks_two_transpositions_per_projection(monkeypatch):
+    swaps = []
+    original = MultiPoly.is_symmetric
+
+    def counted(self, mapping):
+        swaps.append(mapping)
+        return original(self, mapping)
+
+    monkeypatch.setattr(MultiPoly, "is_symmetric", counted)
+    assert SUITES["ternary"](5).passed()
+    assert len(swaps) == 4 * 5
+    assert all(len(mapping) == 2 for mapping in swaps)
+
+
+def test_bare_check_runs_to_its_cap():
+    report = SUITES["triangle"]()
+    assert report.passed(), report.witness
+    assert report.n_range == (1, 6)
+
+
 # --------------------------------------------------- sensitivity to corruption
 
 def corrupted_copies(poly):
