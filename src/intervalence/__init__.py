@@ -9,7 +9,7 @@ cross-validated coefficient by coefficient.
 """
 
 from .polynomial import (MultiPoly, SeriesT, all_roots_real_negative,
-                         divided_difference, squarefree_part, sturm_sequence)
+                         divided_difference, sturm_sequence)
 from .poset import FinitePoset
 from .series import (Mode, SolverOutput, SystemConfig,
                      check_alternative_decomposition, check_bridge_identity,
@@ -17,23 +17,21 @@ from .series import (Mode, SolverOutput, SystemConfig,
 from .tamari import (TamariLattice, canopy, composition, decode, encode,
                      enumerate_trees, interval_canopy_word,
                      interval_statistics, interval_valence_polynomial,
-                     is_synchronous, iter_interval_statistics,
-                     left_border_factors, reverse, rotation_covers,
-                     tamari_lattice)
+                     is_synchronous, left_border_factors, reverse,
+                     rotation_covers, tamari_lattice)
 from .verify import CheckReport, run_suites, summarize_reports
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MultiPoly", "SeriesT", "all_roots_real_negative",
-    "divided_difference", "squarefree_part", "sturm_sequence",
+    "divided_difference", "sturm_sequence",
     "FinitePoset",
     "Mode", "SolverOutput", "SystemConfig", "check_alternative_decomposition",
     "check_bridge_identity", "residual", "solve",
     "TamariLattice", "canopy", "composition", "decode", "encode",
     "enumerate_trees", "interval_canopy_word", "interval_statistics",
-    "interval_valence_polynomial", "is_synchronous", "iter_interval_statistics",
-    "left_border_factors",
+    "interval_valence_polynomial", "is_synchronous", "left_border_factors",
     "reverse", "rotation_covers", "tamari_lattice",
     "CheckReport", "run_suites", "summarize_reports",
     "__version__",

@@ -178,7 +178,7 @@ def _cmd_table(parser, args):
     if "q" in (first, second) and args.n > 7:
         parser.error("the chain statistic q is supported for n <= 7")
     if args.format == "csv":
-        records = tamari.iter_interval_statistics(args.n)
+        records = tamari.interval_statistics(args.n)
         _write((line + "\n" for line in tamari.csv_lines(records)), args.output)
         return 0
     histogram = tamari.interval_histogram(args.n).counts

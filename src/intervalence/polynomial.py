@@ -2,8 +2,8 @@
 real-rootedness certificates.
 
 Every coefficient is a Python integer, so all arithmetic in this module is
-exact; division (gcd, Sturm chains, exact quotients) is integer long division
-too, with no rationals.  Two types are provided:
+exact; the division steps of the Sturm chains stay in the integers too, with
+no rationals.  Two types are provided:
 
 - ``MultiPoly``: a sparse polynomial over a fixed, ordered tuple of variable
   names.  Exponent vectors are tuples aligned with the variable tuple, and
@@ -58,14 +58,16 @@ class MultiPoly:
 
     ``terms`` maps exponent tuples to nonzero integer coefficients.  Two
     polynomials interoperate only if their universes are identical; use
-    ``substitute`` to move between universes (``with_universe`` and
-    ``permute_vars`` are ``substitute`` calls).
+    ``substitute`` to move between universes (``permute_vars`` is a
+    ``substitute`` call).
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars, terms=None):
         vars = _universe(vars)
+        if terms is not None and not isinstance(terms, dict):
+            raise TypeError(f"terms must be a dict of exponent tuples, got {type(terms).__name__}")
         clean = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(exp)
@@ -229,12 +231,6 @@ class MultiPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name):
-        i = self._position(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
-
     def substitute(self, bindings, vars=None):
         """Substitute variables and optionally land in a new universe.
 
@@ -303,15 +299,6 @@ class MultiPoly:
             result = result + term
         return result
 
-    def with_universe(self, vars):
-        """Reindex into another universe; dropped variables must be absent."""
-        target = tuple(vars)
-        dropped = [name for name in self.vars if name not in target]
-        for name in dropped:
-            if self.degree_in(name):
-                raise ValueError(f"variable {name!r} occurs but is absent from {target}")
-        return self.substitute(dict.fromkeys(dropped, 1), target)
-
     def permute_vars(self, mapping):
         """Rename variables by a bijection of the universe onto itself."""
         img = {name: mapping.get(name, name) for name in self.vars}
@@ -331,13 +318,6 @@ class MultiPoly:
         idx = [self._position(name) for name in names]
         return {tuple(exp[i] for i in idx) for exp in self.terms}
 
-    def degree_range(self, vars=None):
-        """(min, max) total degree over the given variables."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree range")
-        degs = [sum(exp) for exp in self.support(vars)]
-        return (min(degs), max(degs))
-
     def exact_div(self, name):
         """Exact division by a single variable; every term must contain it."""
         i = self._position(name)
@@ -355,14 +335,6 @@ class MultiPoly:
              "exp": {name: e for name, e in zip(self.vars, exp) if e}}
             for exp in sorted(self.terms)
         ]
-
-    @classmethod
-    def from_json(cls, data, vars):
-        vars = tuple(vars)
-        acc = MultiPoly.zero(vars)
-        for rec in data:
-            acc = acc + cls.monomial(vars, rec["exp"], rec["coeff"])
-        return acc
 
     def __str__(self):
         return _render([(self.terms[exp], " ".join([name if e == 1 else f"{name}^{e}"
@@ -387,8 +359,11 @@ def cauchy_coefficient(a, b, k):
 def divided_difference(p, q, name):
     """Exact quotient ``(p - q) / (name - 1)``.
 
-    Raises ``ValueError`` when the numerator does not vanish at ``name = 1``.
+    Raises ``ValueError`` when the numerator does not vanish at ``name = 1``;
+    ``q`` may be an int.
     """
+    if not isinstance(p, MultiPoly):
+        raise TypeError(f"expected a MultiPoly, got {type(p).__name__}")
     diff = p - q
     i = diff._position(name)
     groups = {}
@@ -427,6 +402,8 @@ class SeriesT:
         if len(coeffs) != N:
             raise ValueError(f"expected {N} coefficients, got {len(coeffs)}")
         for c in coeffs:
+            if not isinstance(c, MultiPoly):
+                raise TypeError(f"series coefficient must be a MultiPoly, got {type(c).__name__}")
             if c.vars != vars:
                 raise ValueError(f"coefficient universe {c.vars} differs from {vars}")
         object.__setattr__(self, "vars", vars)
@@ -460,12 +437,6 @@ class SeriesT:
         self._check(other)
         return SeriesT(self.vars, self.N, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other):
-        if not isinstance(other, SeriesT):
-            return NotImplemented
-        self._check(other)
-        return SeriesT(self.vars, self.N, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other):
         if isinstance(other, (int, MultiPoly)):
             return SeriesT(self.vars, self.N, [c * other for c in self.coeffs])
@@ -496,11 +467,6 @@ class SeriesT:
     def to_json(self):
         return {"N": self.N, "coeffs": [c.to_json() for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, data, vars):
-        coeffs = [MultiPoly.from_json(rec, vars) for rec in data["coeffs"]]
-        return cls(vars, data["N"], coeffs)
-
     def __str__(self):
         lines = []
         for k, c in enumerate(self.coeffs):
@@ -515,12 +481,11 @@ class SeriesT:
 # Real-rootedness certificates.  These take a ``MultiPoly`` over exactly one
 # variable; the private helpers below read it as a univariate polynomial.
 
-def _univariate(*polys):
-    for f in polys:
-        if not isinstance(f, MultiPoly):
-            raise TypeError(f"expected a MultiPoly, got {type(f).__name__}")
-        if len(f.vars) != 1:
-            raise ValueError(f"expected a polynomial in one variable, got universe {f.vars}")
+def _univariate(f):
+    if not isinstance(f, MultiPoly):
+        raise TypeError(f"expected a MultiPoly, got {type(f).__name__}")
+    if len(f.vars) != 1:
+        raise ValueError(f"expected a polynomial in one variable, got universe {f.vars}")
 
 
 def _degree(f):
@@ -530,10 +495,6 @@ def _degree(f):
 
 def _lead(f):
     return f.terms[(_degree(f),)]
-
-
-def _at_zero(f):
-    return f.terms.get((0,), 0)
 
 
 def _primitive(f):
@@ -551,7 +512,7 @@ def _remainder(a, b):
 
     Each step scales the running remainder by ``|lc(b)| > 0`` so that the
     division stays in the integers and the signs are those over the rationals.
-    Both callers pass a nonzero ``b``."""
+    ``sturm_sequence``, the one caller, passes a nonzero ``b``."""
     db, lb = _degree(b), _lead(b)
     scale, sign = abs(lb), (1 if lb > 0 else -1)
     rem = a
@@ -559,40 +520,6 @@ def _remainder(a, b):
         step = MultiPoly._raw(a.vars, {(_degree(rem) - db,): sign * _lead(rem)})
         rem = rem * scale - step * b
     return _primitive(rem)
-
-
-def polynomial_gcd(f, g):
-    """Primitive gcd of two integer polynomials, positive leading term."""
-    _univariate(f, g)
-    a, b = _primitive(f), _primitive(g)
-    while not b.is_zero():
-        a, b = b, _remainder(a, b)
-    return -a if not a.is_zero() and _lead(a) < 0 else a
-
-
-def exact_quotient(f, g):
-    """Quotient of integer polynomials; ``g`` must divide ``f`` over the integers."""
-    _univariate(f, g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    dg, lg = _degree(g), _lead(g)
-    quo, rem = MultiPoly.zero(f.vars), f
-    while _degree(rem) >= dg:
-        q, r = divmod(_lead(rem), lg)
-        if r:
-            break
-        step = MultiPoly._raw(f.vars, {(_degree(rem) - dg,): q})
-        quo, rem = quo + step, rem - step * g
-    if not rem.is_zero():
-        raise ValueError("division is not exact")
-    return quo
-
-
-def squarefree_part(f):
-    """The radical of ``f``: same roots, all simple."""
-    _univariate(f)
-    g = polynomial_gcd(f, _derivative(f))
-    return _primitive(exact_quotient(f, g) if _degree(g) > 0 else f)
 
 
 def sturm_sequence(f):
@@ -617,24 +544,6 @@ def _sign_changes(values):
     return sum(1 for a, b in zip(values, values[1:]) if a * b < 0)
 
 
-def _negative_roots(chain):
-    """Distinct roots in ``(-inf, 0)`` of the head of a Sturm chain, which
-    must not vanish at 0."""
-    at_minus_inf = [_lead(p) * (-1) ** _degree(p) for p in chain]
-    return _sign_changes(at_minus_inf) - _sign_changes([_at_zero(p) for p in chain])
-
-
-def count_negative_real_roots(f):
-    """Number of distinct real roots of ``f`` in the open interval
-    ``(-inf, 0)``; requires ``f(0) != 0``."""
-    _univariate(f)
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if _at_zero(f) == 0:
-        raise ValueError("polynomial vanishes at 0; factor out z first")
-    return _negative_roots(sturm_sequence(f))
-
-
 def all_roots_real_negative(f):
     """Whether every complex root of ``f`` is real and strictly negative.
 
@@ -652,6 +561,10 @@ def all_roots_real_negative(f):
     # necessary: a monic product of (z + r), r > 0, has all-positive coefficients
     if len(f.terms) <= _degree(f) or any(c < 0 for c in f.terms.values()):
         return False
-    # the chain ends in gcd(f, f'), so f has deg f - deg gcd distinct roots
+    # the chain ends in gcd(f, f'), so f has deg f - deg gcd distinct roots;
+    # by Sturm's theorem, the chain loses one sign change per distinct root
+    # in (-inf, 0) (f(0) > 0 here, as every coefficient is positive)
     chain = sturm_sequence(f)
-    return _negative_roots(chain) == _degree(f) - _degree(chain[-1])
+    at_minus_inf = [_lead(p) * (-1) ** _degree(p) for p in chain]
+    negative = _sign_changes(at_minus_inf) - _sign_changes([p.terms.get((0,), 0) for p in chain])
+    return negative == _degree(f) - _degree(chain[-1])

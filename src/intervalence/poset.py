@@ -283,10 +283,3 @@ class FinitePoset:
                     hi = bits.find("1", hi + 1)
             yield lo, keys
 
-    def to_json(self):
-        return {"m": self.m, "covers": [list(c) for c in self.covers]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["m"], [tuple(c) for c in data["covers"]])
-

@@ -127,6 +127,8 @@ def solve(config):
     ``inner`` kernel.  The q kernel is the full kernel under u -> qu, divided
     by q.
     """
+    if not isinstance(config, SystemConfig):
+        raise TypeError(f"expected a SystemConfig, got {type(config).__name__}")
     mode = config.mode
     names = config.universe
     N = config.N
@@ -180,6 +182,8 @@ def check_alternative_decomposition(output):
     """Splitting at the other end: the interval series also satisfies
     intervals = indec + ybar * indec(v,v) * intervals / v.  True when the
     solved series fits that variant at every computed order."""
+    if not isinstance(output, SolverOutput):
+        raise TypeError(f"expected a SolverOutput, got {type(output).__name__}")
     if output.config.mode is not Mode.FULL:
         raise ValueError("the alternative decomposition is stated for the full system")
     names = output.config.universe
@@ -195,6 +199,8 @@ def check_bridge_identity(output):
     """Compatibility of the three one-variable specializations:
     (u + ybar*intervals(u,u)) * intervals(u,1)
         = intervals(u,u) * (1 + ybar*intervals(1,1))."""
+    if not isinstance(output, SolverOutput):
+        raise TypeError(f"expected a SolverOutput, got {type(output).__name__}")
     if output.config.mode is not Mode.FULL:
         raise ValueError("the bridge identity is stated for the full system")
     names = output.config.universe
@@ -219,6 +225,8 @@ def residual(series, coefficient_arrays):
     t^0 upward.  A vanishing residual certifies the series solves the
     algebraic equation up to the truncation order.
     """
+    if not isinstance(series, SeriesT):
+        raise TypeError(f"expected a SeriesT, got {type(series).__name__}")
     names, N = series.vars, series.N
     acc = SeriesT.zero(names, N)
     power = SeriesT(names, N, [MultiPoly.one(names)] + [MultiPoly.zero(names)] * (N - 1))

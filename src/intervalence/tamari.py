@@ -21,6 +21,7 @@ indecomposable factors (trees whose root has a leaf as left child); the
 sizes give a composition of n which coarsens weakly along the order.
 """
 
+import reprlib
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -28,8 +29,26 @@ from typing import NamedTuple
 from .poset import FinitePoset
 
 
+def _left_spine(t):
+    """The internal nodes on the left border of t, root first; ``ValueError``
+    at the first node that is neither None nor a (left, right) pair."""
+    spine = []
+    while t is not None:
+        if type(t) is not tuple or len(t) != 2:
+            raise ValueError(f"not a tree: {reprlib.repr(t)} is not a (left, right) pair")
+        spine.append(t)
+        t = t[0]
+    return spine
+
+
 def size(t):
-    return 0 if t is None else 1 + size(t[0]) + size(t[1])
+    """Number of internal nodes, counted spine by spine with an explicit stack."""
+    count, stack = 0, [t]
+    while stack:
+        spine = _left_spine(stack.pop())
+        count += len(spine)
+        stack.extend(node[1] for node in spine)
+    return count
 
 
 def encode(t):
@@ -40,6 +59,8 @@ def encode(t):
 def decode(text):
     """The tree written as ``text`` (see ``encode``), parsed with an explicit
     stack so that the nesting depth is not bounded by the recursion limit."""
+    if not isinstance(text, str):
+        raise TypeError(f"tree text must be a str, got {type(text).__name__}")
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     open_nodes = []  # the children read so far of each unclosed node
     for pos, tok in enumerate(tokens):
@@ -144,9 +165,9 @@ def is_indecomposable(t):
 
 def graft(a, b):
     """Replace the leftmost leaf of b by a."""
-    if b is None:
-        return a
-    return (graft(a, b[0]), b[1])
+    for node in reversed(_left_spine(b)):
+        a = (a, node[1])
+    return a
 
 
 def left_border_factors(t):
@@ -155,14 +176,7 @@ def left_border_factors(t):
     Grafting the factors back left to right restores the tree; the last
     factor contains the original root.
     """
-    if t is None:
-        return []
-    spine = []
-    node = t
-    while node is not None:
-        spine.append(node)
-        node = node[0]
-    return [(None, v[1]) for v in reversed(spine)]
+    return [(None, v[1]) for v in reversed(_left_spine(t))]
 
 
 def composition(t):
@@ -210,7 +224,7 @@ class TamariLattice:
                 raise ValueError(f"tree index {t!r} out of range")
             return t
         if t not in self.index:
-            raise ValueError(f"{encode(t)} is not a tree of size {self.n}")
+            raise ValueError(f"{reprlib.repr(t)} is not a tree of size {self.n}")
         return self.index[t]
 
     def leq(self, s, t):
@@ -354,22 +368,16 @@ def _check_statistics_args(n, with_q):
 
 
 def interval_statistics(n, with_q=None):
-    """Statistics of every interval of the size-n lattice, in (lo, hi) order.
+    """An iterator over the statistics of every interval of the size-n
+    lattice, in (lo, hi) order.
 
     Degree statistics support n <= 9; the longest-chain statistic q is
-    restricted to n <= 7, where the default computes it.  The records are
-    read off the poset's interval kernel (``FinitePoset._interval_keys``):
-    the four cover counts from up-set bitsets, ``ll``/``rr``/``sync`` from
-    canopy bitmasks.  Each call builds a new tuple, which nothing caches;
-    ``iter_interval_statistics`` yields the same records one at a time,
-    which is how the ``table`` command streams its output.
+    restricted to n <= 7, where the default computes it.  The arguments are
+    checked at the call, before the first record.  The records are read off
+    the poset's interval kernel (``FinitePoset._interval_keys``): the four
+    cover counts from up-set bitsets, ``ll``/``rr``/``sync`` from canopy
+    bitmasks.  Nothing caches them; ``table --format csv`` streams them.
     """
-    return tuple(iter_interval_statistics(n, with_q))
-
-
-def iter_interval_statistics(n, with_q=None):
-    """The records of ``interval_statistics`` as an uncached iterator, for
-    streaming consumers such as the ``table`` command."""
     with_q = _check_statistics_args(n, with_q)
     return _records(tamari_lattice(n), with_q)
 

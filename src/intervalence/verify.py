@@ -137,10 +137,15 @@ def _suite(check_id, cap, n_lo=1):
 def distribution_table(histogram, stat_a, stat_b):
     """Counts of intervals by a pair of statistics, from a histogram that
     maps interval classes (``tamari.interval_histogram(n).counts``, or a
-    ``Counter`` of records) to their numbers of intervals."""
+    ``Counter`` of records) to their numbers of intervals.  A statistic that
+    a class lacks or holds as ``None`` (q past n = 7) is a ``ValueError``: a
+    table keyed by ``None`` would pass any comparison without testing it."""
     out = {}
     for c, k in histogram.items():
-        key = (getattr(c, stat_a), getattr(c, stat_b))
+        key = (getattr(c, stat_a, None), getattr(c, stat_b, None))
+        if None in key:
+            name = stat_a if key[0] is None else stat_b
+            raise ValueError(f"statistic {name!r} is unknown or not computed for {c}")
         out[key] = out.get(key, 0) + k
     return out
 

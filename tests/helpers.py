@@ -4,10 +4,24 @@ the variable z of the one-variable test polynomials."""
 from collections import Counter
 from math import comb, factorial
 
-from intervalence import FinitePoset, MultiPoly
+from intervalence import FinitePoset, MultiPoly, sturm_sequence
 from intervalence.poset import INTERVAL_VARS
 
 Z = MultiPoly.variable(("z",), "z")
+
+
+def sturm_negative_roots(f):
+    """Distinct roots of ``f`` in (-inf, 0) by Sturm's theorem: the sign
+    changes along ``sturm_sequence(f)`` at -inf minus those at 0, where ``f``
+    must not vanish."""
+    def changes(values):
+        values = [v for v in values if v]
+        return sum(a * b < 0 for a, b in zip(values, values[1:]))
+
+    chain = sturm_sequence(f)
+    degrees = [max(e for e, in p.terms) for p in chain]
+    at_minus_inf = [p.terms[(d,)] * (-1) ** d for p, d in zip(chain, degrees)]
+    return changes(at_minus_inf) - changes([p.terms.get((0,), 0) for p in chain])
 
 
 def random_poset(rng, max_m=6):

@@ -196,9 +196,9 @@ def test_criterion_08_canopy_tables(full_n9):
     start = time.perf_counter()
     ok = True
     for n in range(1, 8):
-        recs = interval_statistics(n, with_q=False)
-        by_degree = distribution_table(Counter(recs), "dy", "dybar")
-        by_canopy = distribution_table(Counter(recs), "ll", "rr")
+        recs = Counter(interval_statistics(n, with_q=False))
+        by_degree = distribution_table(recs, "dy", "dybar")
+        by_canopy = distribution_table(recs, "ll", "rr")
         ok = ok and by_degree == by_canopy
         if n <= 5:
             ok = ok and table_to_matrix(by_degree, n) == CANOPY_MATRICES[n]

@@ -1,4 +1,4 @@
-"""Sturm, squarefree, gcd and exact-division code against sympy (test-only)."""
+"""The Sturm code against sympy (test-only)."""
 
 import random
 
@@ -6,28 +6,15 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from intervalence import MultiPoly, squarefree_part  # noqa: E402
-from intervalence.polynomial import (  # noqa: E402
-    count_negative_real_roots,
-    exact_quotient,
-    polynomial_gcd,
-)
+from intervalence import MultiPoly, all_roots_real_negative  # noqa: E402
 
-from helpers import Z  # noqa: E402
+from helpers import sturm_negative_roots  # noqa: E402
 
 SYMBOL = sympy.Symbol("z")
 
 
 def to_sympy(f):
     return sympy.Poly.from_dict(f.terms, SYMBOL)
-
-
-def normalised(g):
-    """The sympy polynomial ``g`` as a ``MultiPoly`` in z, primitive with a
-    positive leading term."""
-    g = g.primitive()[1]
-    g = -g if g.LC() < 0 else g
-    return MultiPoly(("z",), {exp: int(c) for exp, c in g.terms()})
 
 
 def random_factor(rng):
@@ -58,36 +45,15 @@ def random_polys(seed, count):
     return out
 
 
-def test_count_negative_real_roots_matches_sympy():
+def test_sturm_core_matches_sympy():
+    verdicts = set()
     for f in random_polys(20261018, 150):
-        if f.coefficient({}) == 0:
-            continue
-        assert count_negative_real_roots(f) == to_sympy(f).count_roots(-sympy.oo, 0), f
-
-
-def test_squarefree_part_matches_sympy():
-    for f in random_polys(31, 150):
-        got = squarefree_part(f)
-        want = normalised(to_sympy(f).sqf_part())
-        assert got in (want, -want), f
-
-
-def test_polynomial_gcd_matches_sympy():
-    polys = random_polys(47, 240)
-    for f, g, shared in zip(polys[::3], polys[1::3], polys[2::3]):
-        f, g = f * shared, g * shared
-        want = normalised(sympy.gcd(to_sympy(f), to_sympy(g)))
-        assert polynomial_gcd(f, g) == want, (f, g)
-
-
-def test_exact_quotient_round_trip_and_rejection():
-    polys = random_polys(53, 200)
-    for f, g in zip(polys[::2], polys[1::2]):
-        assert exact_quotient(f * g, g) == f
-        # g has degree >= 1, so it leaves the remainder 1
-        with pytest.raises(ValueError):
-            exact_quotient(f * g + 1, g)
-    with pytest.raises(ValueError):
-        exact_quotient(Z + 1, 2 * Z + 1)
-    with pytest.raises(ValueError):
-        exact_quotient(MultiPoly.constant(("z",), 1), MultiPoly.constant(("z",), 2))
+        g = to_sympy(f)
+        # every root real and negative, counted with multiplicity
+        roots = g.real_roots()
+        want = len(roots) == g.degree() and all(r < 0 for r in roots)
+        assert all_roots_real_negative(f) is want, f
+        verdicts.add(want)
+        if f.coefficient({}) != 0:
+            assert sturm_negative_roots(f) == g.count_roots(-sympy.oo, 0), f
+    assert verdicts == {True, False}

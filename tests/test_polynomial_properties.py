@@ -1,5 +1,5 @@
 """Property tests for the ring operations, substitution and renaming,
-divided differences, Sturm root counts and the tree text codec (test-only
+divided differences, the Sturm code and the tree text codec (test-only
 ``hypothesis``)."""
 
 import pytest
@@ -9,8 +9,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from intervalence import MultiPoly, decode, divided_difference, encode  # noqa: E402
-from intervalence.polynomial import count_negative_real_roots  # noqa: E402
+from intervalence import (MultiPoly, all_roots_real_negative, decode,  # noqa: E402
+                          divided_difference, encode)
+
+from helpers import sturm_negative_roots  # noqa: E402
 
 VARS = ("u", "v", "x")
 TARGET = ("a", "b")
@@ -64,15 +66,6 @@ def test_permute_vars_then_inverse_is_identity(p, perm):
 
 
 @bounded
-@given(polys(VARS), st.permutations(VARS + ("s", "t")))
-def test_with_universe_wider_and_back_is_identity(p, wider):
-    widened = p.with_universe(wider)
-    assert widened.vars == tuple(wider)
-    assert len(widened.terms) == len(p.terms)
-    assert widened.with_universe(VARS) == p
-
-
-@bounded
 @given(polys(VARS), polys(VARS), polys(VARS))
 def test_ring_axioms(p, q, r):
     zero, one = MultiPoly.zero(VARS), MultiPoly.one(VARS)
@@ -101,7 +94,8 @@ def test_negative_root_count_of_linear_factors(roots, scale):
     f = MultiPoly.constant(("z",), scale)
     for r in roots:
         f = f * (z + r)
-    assert count_negative_real_roots(f) == len(set(roots))
+    assert all_roots_real_negative(f)
+    assert sturm_negative_roots(f) == len(set(roots))
 
 
 trees = st.recursive(st.none(), lambda sub: st.tuples(sub, sub), max_leaves=30)

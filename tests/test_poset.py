@@ -6,7 +6,6 @@ doubles as an oracle because the same poset arises as the size-3 rotation
 lattice.
 """
 
-import json
 import random
 
 import pytest
@@ -71,11 +70,6 @@ def test_topological_order_is_linear_extension():
         pos = {v: i for i, v in enumerate(p.topological_order())}
         assert sorted(pos) == list(range(p.m))
         assert all(pos[a] < pos[b] for a, b in p.covers)
-
-
-def test_json_round_trip_and_equality():
-    blob = json.dumps(PENTAGON.to_json())
-    assert FinitePoset.from_json(json.loads(blob)) == PENTAGON
 
 
 # ----------------------------------------------------------- dual / product

@@ -12,7 +12,9 @@ Covers: 4<2, 4<3, 3<1, 2<0, 1<0 (the pentagon).
 """
 
 import random
+import signal
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -23,21 +25,26 @@ from intervalence import (
     SeriesT,
     SystemConfig,
     canopy,
+    check_alternative_decomposition,
+    check_bridge_identity,
     composition,
     decode,
+    divided_difference,
     encode,
     enumerate_trees,
     interval_canopy_word,
     interval_statistics,
     interval_valence_polynomial,
     is_synchronous,
-    iter_interval_statistics,
     left_border_factors,
+    residual,
     reverse,
     rotation_covers,
+    solve,
     tamari_lattice,
 )
 from intervalence.poset import INTERVAL_VARS, VALENCE_VARS
+from intervalence.series import SYNC_RESIDUAL_COEFFS
 from intervalence.tamari import (
     CSV_HEADER,
     IntervalClass,
@@ -111,6 +118,55 @@ def test_combs_and_size():
     assert left_comb(3) == (((None, None), None), None)
     assert size(right_comb(5)) == 5
     assert size(None) == 0
+
+
+@contextmanager
+def time_bound(seconds):
+    """Raise ``TimeoutError`` in the body once it has run ``seconds``, so that
+    a call that never returns fails its test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: left_border_factors("ab"),
+    lambda: composition("ab"),
+    lambda: size("ab"),
+    lambda: size((None, None, None)),
+    lambda: graft(None, "ab"),
+    lambda: tamari_lattice(3).as_index("x"),
+    lambda: tamari_lattice(3).leq("x", 0),
+    lambda: is_synchronous(tamari_lattice(3), "x", 0),
+    lambda: interval_canopy_word(tamari_lattice(3), 0, "x"),
+], ids=["left_border_factors", "composition", "size", "size_triple", "graft", "as_index",
+        "leq", "is_synchronous", "interval_canopy_word"])
+def test_non_trees_raise_value_error_at_once(call):
+    # a string indexes to itself ("a"[0] == "a"), so a walk down it never ends
+    with time_bound(1.0), pytest.raises(ValueError):
+        call()
+
+
+def test_size_composition_and_graft_work_at_depth_5000():
+    deep_right, deep_left = right_comb(5000), left_comb(5000)
+    assert size(deep_right) == size(deep_left) == 5000
+    assert composition(deep_right) == (5000,)
+    assert composition(deep_left) == (1,) * 5000
+    grafted = graft(deep_right, deep_left)
+    assert size(grafted) == 10000
+    # walked, since == on deeply nested tuples recurses
+    node = grafted
+    for _ in range(5000):
+        assert node[1] is None
+        node = node[0]
+    assert node is deep_right
 
 
 def test_reverse_is_an_involution_exchanging_combs():
@@ -297,7 +353,7 @@ def test_synchronous_iff_boundary_degrees_sum_to_n_minus_one():
 # -------------------------------------------------------------- statistics
 
 def test_interval_statistics_size_two_records():
-    assert interval_statistics(2) == (
+    assert tuple(interval_statistics(2)) == (
         IntervalStat(2, 0, 0, 0, 0, 1, 0, 0, 0, 1, True),
         IntervalStat(2, 1, 0, 1, 0, 0, 1, 1, 0, 0, False),
         IntervalStat(2, 1, 1, 0, 1, 0, 0, 0, 1, 0, True),
@@ -305,13 +361,13 @@ def test_interval_statistics_size_two_records():
 
 
 def test_interval_statistics_validation():
-    for stats in (interval_statistics, iter_interval_statistics):
-        with pytest.raises(ValueError):
-            stats(0)
-        with pytest.raises(ValueError):
-            stats(10)
-        with pytest.raises(ValueError):
-            stats(8, with_q=True)
+    # checked at the call, before the first record is asked for
+    with pytest.raises(ValueError):
+        interval_statistics(0)
+    with pytest.raises(ValueError):
+        interval_statistics(10)
+    with pytest.raises(ValueError):
+        interval_statistics(8, with_q=True)
     for n in (0, 10, 2.0):
         with pytest.raises(ValueError):
             interval_histogram(n)
@@ -328,7 +384,7 @@ def test_interval_records_match_per_interval_definitions():
             for hi in poset.up_set(lo):
                 longest[(lo, hi)] = 0 if lo == hi else 1 + max(
                     longest[(c, hi)] for c in poset.upper_covers(lo) if poset.leq(c, hi))
-        records = interval_statistics(n)
+        records = tuple(interval_statistics(n))
         assert [(r.lo, r.hi) for r in records] == poset.intervals()
         for r in records:
             iv = (r.lo, r.hi)
@@ -344,7 +400,7 @@ def test_interval_histogram_counts_the_records():
     # class, and the doubly-extremal pairs among them
     for n in range(1, 8):
         lat = tamari_lattice(n)
-        records = interval_statistics(n)
+        records = tuple(interval_statistics(n))
         projected = Counter(
             IntervalClass(r.dx, r.dy, r.dybar, r.dxbar, r.q, r.ll, r.rr, r.sync,
                           r.lo == r.hi, r.lo == lat.minimum(), r.hi == lat.maximum())
@@ -360,13 +416,8 @@ def test_interval_histogram_counts_the_records():
 
 def test_interval_statistics_is_not_cached():
     first, second = interval_statistics(3), interval_statistics(3)
-    assert first == second
-    assert first is not second
-
-
-def test_iter_interval_statistics_matches_cached_records():
-    for n, with_q in ((4, None), (4, False), (6, True), (7, None)):
-        assert tuple(iter_interval_statistics(n, with_q)) == interval_statistics(n, with_q)
+    assert iter(first) is first and first is not second
+    assert tuple(first) == tuple(second)
 
 
 def full_system(n):
@@ -406,6 +457,22 @@ def test_bool_integers_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: solve("full"),
+    lambda: check_alternative_decomposition(None),
+    lambda: check_bridge_identity(None),
+    lambda: residual(None, SYNC_RESIDUAL_COEFFS),
+    lambda: divided_difference(1, 1, "u"),
+    lambda: SeriesT(("x",), 1, [1]),
+    lambda: MultiPoly(("x",), [((1,), 1)]),
+    lambda: decode(5),
+], ids=["solve", "alternative_decomposition", "bridge_identity", "residual",
+        "divided_difference", "series_coefficient", "terms_list", "decode"])
+def test_arguments_of_the_wrong_type_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_interval_statistics_q_is_longest_chain():
     # (minimum, maximum) of the pentagon: longest saturated chain 4<3<1<0
     recs = {(r.lo, r.hi): r for r in interval_statistics(3)}
@@ -422,7 +489,7 @@ def test_interval_statistics_q_is_longest_chain():
 
 
 def test_interval_statistics_without_q():
-    recs = interval_statistics(4, with_q=False)
+    recs = tuple(interval_statistics(4, with_q=False))
     assert all(r.q is None for r in recs)
     assert len(recs) == interval_count(4)
 

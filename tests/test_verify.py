@@ -88,6 +88,22 @@ def test_distribution_table_and_matrix_layout():
     assert table_to_matrix(table, 2) == [[1, 0], [1, 1]]
 
 
+def test_distribution_table_rejects_q_where_it_is_not_computed():
+    # q is None in every class at n = 8, so a (q, dy) table keyed (None, d)
+    # would equal the (q, dybar) table by the dy/dybar symmetry alone
+    histogram = tamari.interval_histogram(8).counts
+    for pair in (("q", "dy"), ("dybar", "q")):
+        with pytest.raises(ValueError, match="statistic 'q'"):
+            distribution_table(histogram, *pair)
+
+
+def test_distribution_table_rejects_an_unknown_statistic():
+    histogram = tamari.interval_histogram(3).counts
+    for pair in (("zz", "dy"), ("dy", "zz")):
+        with pytest.raises(ValueError, match="statistic 'zz' is unknown"):
+            distribution_table(histogram, *pair)
+
+
 def test_brute_force_weights_small():
     assert brute_force_weights(1) == MultiPoly(("x", "y", "ybar"), {(0, 0, 0): 1})
     assert sum(brute_force_weights(4).terms.values()) == interval_count(4)
