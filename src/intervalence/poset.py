@@ -85,22 +85,28 @@ class FinitePoset:
             queue = nxt
         if len(topo) != m:
             raise ValueError("cover relation contains a cycle")
+        # up-sets in reverse topological order, each OR-ing the up-sets of
+        # its upper covers in topological order: a cover (v, w) implied by
+        # another cover w' < w of v finds w already in the running OR
+        rank = [0] * m
+        for i, v in enumerate(topo):
+            rank[v] = i
+        by_rank = rank.__getitem__
         up = [0] * m
         for v in reversed(topo):
-            acc = 1 << v
-            for w in upper[v]:
-                acc |= up[w]
-            up[v] = acc
-        for a, b in covers:
-            for c in upper[a]:
-                if c != b and up[c] >> b & 1:
+            acc = 0
+            for w in sorted(upper[v], key=by_rank):
+                if acc >> w & 1:
                     raise ValueError(
-                        f"cover {(a, b)} is transitively implied; input is not a Hasse diagram")
+                        f"cover {(v, w)} is transitively implied; input is not a Hasse diagram")
+                acc |= up[w]
+            up[v] = acc | 1 << v
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "_up", up)
-        object.__setattr__(self, "_upper", tuple(tuple(sorted(u)) for u in upper))
-        object.__setattr__(self, "_lower", tuple(tuple(sorted(l)) for l in lower))
+        # filled from the sorted covers, so every list is already ascending
+        object.__setattr__(self, "_upper", tuple(map(tuple, upper)))
+        object.__setattr__(self, "_lower", tuple(map(tuple, lower)))
         object.__setattr__(self, "_topo", tuple(topo))
         object.__setattr__(self, "_width",
                            max(map(len, upper + lower), default=0).bit_length())

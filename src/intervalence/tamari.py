@@ -29,13 +29,19 @@ from typing import NamedTuple
 from .poset import FinitePoset
 
 
+def _tree(t):
+    """``t`` itself if it is a tree: None or a (left, right) pair; otherwise
+    ``ValueError``.  The per-tree walks check each node before reading it."""
+    if t is not None and (type(t) is not tuple or len(t) != 2):
+        raise ValueError(f"not a tree: {reprlib.repr(t)} is not a (left, right) pair")
+    return t
+
+
 def _left_spine(t):
     """The internal nodes on the left border of t, root first; ``ValueError``
     at the first node that is neither None nor a (left, right) pair."""
     spine = []
-    while t is not None:
-        if type(t) is not tuple or len(t) != 2:
-            raise ValueError(f"not a tree: {reprlib.repr(t)} is not a (left, right) pair")
+    while _tree(t) is not None:
         spine.append(t)
         t = t[0]
     return spine
@@ -52,8 +58,19 @@ def size(t):
 
 
 def encode(t):
-    """Text form: ``o`` for a leaf, ``(left right)`` for a node."""
-    return "o" if t is None else f"({encode(t[0])} {encode(t[1])})"
+    """Text form: ``o`` for a leaf, ``(left right)`` for a node; written
+    with an explicit stack, so any depth works."""
+    out, stack = [], [_tree(t)]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            out.append("o")
+        elif type(node) is str:  # a separator pushed below; trees hold no str
+            out.append(node)
+        else:
+            out.append("(")
+            stack += (")", _tree(node[1]), " ", _tree(node[0]))
+    return "".join(out)
 
 
 def decode(text):
@@ -83,25 +100,48 @@ def decode(text):
     raise ValueError(f"unexpected end of tree text {text!r}")
 
 
-@lru_cache(maxsize=None)
-def _all_trees(n):
-    """Every tree of size n, cached with all smaller sizes: 0.4 MB traced
-    (tracemalloc) at n = 9, 1.5 MB at n = 10."""
-    if n == 0:
-        return (None,)
-    out = []
-    for i in range(n):
-        for left in _all_trees(i):
-            for right in _all_trees(n - 1 - i):
-                out.append((left, right))
-    return tuple(out)
+def _tree_tables(n):
+    """The trees of every size s = 0..n in encoding order, as tables.
+
+    ``shapes[s][i]`` is the i-th tree of size s as ``(left size, left index,
+    right index)`` into the smaller tables, and ``trees[s][i]`` the same tree
+    as nested pairs, sharing its subtrees with the smaller tables.  The trees
+    with one left child are consecutive and follow their right children's
+    order, so ``(ls, li, ri)`` is tree ``first[s][ls][li] + ri`` of size s.
+
+    Since ``(`` sorts before ``o`` and no encoding is a prefix of another,
+    encoding order compares left children first, across sizes, with the
+    leaf last.  ``merged[b]`` lists the trees of size <= b as ``(size, index)``
+    in that order; the size-s table takes its left children from
+    ``merged[s - 1]``.
+    """
+    shapes, trees, first, merged = [[None]], [[None]], [None], [[(0, 0)]]
+    for s in range(1, n + 1):
+        shape, tree = [], []
+        starts = [[0] * len(t) for t in trees]
+        for ls, li in merged[s - 1]:
+            starts[ls][li] = len(shape)
+            left = trees[ls][li]
+            for ri, right in enumerate(trees[s - 1 - ls]):
+                shape.append((ls, li, ri))
+                tree.append((left, right))
+        shapes.append(shape)
+        trees.append(tree)
+        first.append(starts)
+        if s < n:
+            # (L, R) with |L| <= s - 1 and |R| <= s - 1 - |L|, by L, then R; the leaf last
+            merged.append([(ls + rs + 1, first[ls + rs + 1][ls][li] + ri)
+                           for ls, li in merged[s - 1] for rs, ri in merged[s - 1 - ls]]
+                          + [(0, 0)])
+    return shapes, trees, first
 
 
 def enumerate_trees(n):
-    """All trees of size n, sorted by their text encoding."""
+    """All trees of size n, sorted by their text encoding: the size-n table
+    of the per-size tables that also build ``tamari_lattice``."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"bad tree size {n!r}")
-    return tuple(sorted(_all_trees(n), key=encode))
+    return tuple(_tree_tables(n)[1][n])
 
 
 def right_comb(n):
@@ -119,40 +159,57 @@ def left_comb(n):
 
 
 def reverse(t):
-    """Left-right mirror; an anti-automorphism of the rotation order."""
-    return None if t is None else (reverse(t[1]), reverse(t[0]))
+    """Left-right mirror; an anti-automorphism of the rotation order.  Built
+    bottom-up with an explicit stack, so any depth works."""
+    done, stack = [], [(_tree(t), False)]
+    while stack:
+        node, children_done = stack.pop()
+        if node is None:
+            done.append(None)
+        elif children_done:
+            mirrored_left = done.pop()
+            done.append((done.pop(), mirrored_left))
+        else:
+            stack += ((node, True), (_tree(node[0]), False), (_tree(node[1]), False))
+    return done[0]
 
 
 def rotation_covers(t):
-    """Trees one rotation above t, in traversal order."""
-    if t is None:
-        return []
-    left, right = t
+    """Trees one rotation above t, in preorder of the rotated node.
+
+    Each cover copies the path from the root to its rotated node, so a walk
+    with an explicit stack of those paths serves any depth."""
     out = []
-    if right is not None:
-        out.append(((left, right[0]), right[1]))
-    for sub in rotation_covers(left):
-        out.append((sub, right))
-    for sub in rotation_covers(right):
-        out.append((left, sub))
+    stack = [(_tree(t), None)]  # (node, path): path links (parent, went_left, parent's path)
+    while stack:
+        node, path = stack.pop()
+        if node is None:
+            continue
+        left, right = node
+        if _tree(right) is not None:
+            cover = ((left, right[0]), right[1])
+            link = path
+            while link is not None:
+                parent, went_left, link = link
+                cover = (cover, parent[1]) if went_left else (parent[0], cover)
+            out.append(cover)
+        stack.append((right, (node, False, path)))
+        stack.append((_tree(left), (node, True, path)))
     return out
 
 
 def canopy(t):
-    """Leaf word over {L, R}, left to right; empty for the single leaf."""
-    if t is None:
+    """Leaf word over {L, R}, left to right; empty for the single leaf.
+    Walked with an explicit stack, so any depth works."""
+    if _tree(t) is None:
         return ""
-    out = []
-
-    def walk(node, side):
-        if node is None:
+    out, stack = [], [(t[1], "R"), (t[0], "L")]
+    while stack:
+        node, side = stack.pop()
+        if _tree(node) is None:
             out.append(side)
         else:
-            walk(node[0], "L")
-            walk(node[1], "R")
-
-    walk(t[0], "L")
-    walk(t[1], "R")
+            stack += ((node[1], "R"), (node[0], "L"))
     return "".join(out)
 
 
@@ -240,21 +297,58 @@ class TamariLattice:
         return f"TamariLattice(n={self.n}, trees={len(self.trees)})"
 
 
+def _lattice_tables(n):
+    """The size-n trees in encoding order, their canopy words and their
+    rotation covers as ``(lower, upper)`` index pairs, read off the per-size
+    tables of ``_tree_tables`` one size at a time, with no walk of any tree.
+
+    The canopy of ``(L, R)`` is the word of L followed by the word of R, a
+    leaf child reading ``L`` or ``R``.  Its covers are the root rotation
+    ``(A, (B, C)) -> ((A, B), C)``, one table lookup, then the covers of L
+    and of R re-indexed: the order of ``rotation_covers``.  The tables are
+    freed on return, before the poset is built.
+    """
+    shapes, trees, first = _tree_tables(n)
+    # per size, per tree: its canopy word and the indices of its covers
+    words, upper = [[""]], [[()]]
+    for s in range(1, n + 1):
+        words_s, upper_s = [], []
+        starts = first[s]
+        for i, (ls, li, ri) in enumerate(shapes[s]):
+            rs = s - 1 - ls
+            words_s.append((words[ls][li] or "L") + (words[rs][ri] or "R"))
+            covers = []
+            if rs:
+                bs, bi, ci = shapes[rs][ri]
+                ab = ls + bs + 1  # the size of (A, B)
+                covers.append(starts[ab][first[ab][ls][li] + bi] + ci)
+            left_start = starts[ls]
+            covers += [left_start[j] + ri for j in upper[ls][li]]
+            covers += [i - ri + j for j in upper[rs][ri]]
+            upper_s.append(covers)
+        words.append(words_s)
+        upper.append(upper_s)
+    # one int object per element, shared by all its pairs and kept by the poset
+    ids = list(range(len(trees[n])))
+    return trees[n], words[n], [(i, ids[j]) for i, js in zip(ids, upper[n]) for j in js]
+
+
 @lru_cache(maxsize=None, typed=True)
 def tamari_lattice(n):
-    """The rotation lattice on trees of size n, cached: 4.6 MB traced at
-    n = 9 and 30 MB at n = 10, two thirds of it the up-set bitsets."""
+    """The rotation lattice on trees of size n, cached: 5.1 MB traced at
+    n = 9 and 31 MB at n = 10 with the smaller trees (its subtrees), two
+    thirds of it the up-set bitsets; the build peaks at 8.2 and 43 MB.
+
+    Built from per-size tables (``_lattice_tables``) in one pass over the
+    sizes; the per-tree ``rotation_covers``, ``canopy`` and ``encode`` are
+    not called, and the tests hold the build to them.
+    """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"lattice size must be a positive integer, got {n!r}")
-    trees = enumerate_trees(n)
+    trees, canopies, covers = _lattice_tables(n)
     index = {t: i for i, t in enumerate(trees)}
-    covers = []
-    for i, t in enumerate(trees):
-        for s in rotation_covers(t):
-            covers.append((i, index[s]))
-    poset = FinitePoset(len(trees), covers)
-    canopies = tuple(canopy(t) for t in trees)
-    return TamariLattice(n, trees, index, poset, canopies)
+    return TamariLattice(n, tuple(trees), index, FinitePoset(len(trees), covers),
+                         tuple(canopies))
 
 
 def interval_canopy_word(lat, lo, hi):

@@ -1,10 +1,11 @@
-"""Shared test utilities: random Hasse diagrams, closed-form oracles and
-the variable z of the one-variable test polynomials."""
+"""Shared test utilities: random Hasse diagrams, closed-form oracles, the
+per-tree build of a rotation lattice and the variable z of the one-variable
+test polynomials."""
 
 from collections import Counter
 from math import comb, factorial
 
-from intervalence import FinitePoset, MultiPoly, sturm_sequence
+from intervalence import FinitePoset, MultiPoly, canopy, encode, rotation_covers, sturm_sequence
 from intervalence.poset import INTERVAL_VARS
 
 Z = MultiPoly.variable(("z",), "z")
@@ -65,6 +66,22 @@ def interval_degree_histogram(p):
     """Oracle for the interval kernel: ``DD_P`` summed one interval at a
     time from ``interval_degrees`` over ``intervals()``."""
     return MultiPoly(INTERVAL_VARS, Counter(p.interval_degrees(iv) for iv in p.intervals()))
+
+
+def reference_lattice(n):
+    """Oracle for ``tamari_lattice``: ``(trees, index, canopies, poset)``
+    from the per-tree definitions.  Every tree of size n, recursively by the
+    sizes of its children, sorted by ``encode``; the covers of each from
+    ``rotation_covers`` and a lookup of their indices; the canopies from
+    ``canopy``."""
+    by_size = [[None]]
+    for s in range(1, n + 1):
+        by_size.append([(left, right) for i in range(s)
+                        for left in by_size[i] for right in by_size[s - 1 - i]])
+    trees = tuple(sorted(by_size[n], key=encode))
+    index = {t: i for i, t in enumerate(trees)}
+    covers = [(i, index[c]) for i, t in enumerate(trees) for c in rotation_covers(t)]
+    return trees, index, tuple(map(canopy, trees)), FinitePoset(len(trees), covers)
 
 
 def catalan(n):

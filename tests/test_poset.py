@@ -7,6 +7,7 @@ lattice.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -61,6 +62,60 @@ def test_order_and_covers_on_pentagon():
     assert p.minimal_elements() == [0]
     assert p.maximal_elements() == [4]
     assert p.up_set(1) == [1, 3, 4]
+
+
+def _relabelled_covers(rng, p):
+    """The covers of ``p`` under a random relabelling of its elements, in a
+    random order, so that neither the labels nor the list follow the order."""
+    perm = list(range(p.m))
+    rng.shuffle(perm)
+    covers = [(perm[a], perm[b]) for a, b in p.covers]
+    rng.shuffle(covers)
+    return covers
+
+
+def _pairs_at_distance(m, covers, distance):
+    """Pairs ``(a, c)`` whose shortest cover path from a to c has ``distance`` steps."""
+    upper = [[] for _ in range(m)]
+    for a, b in covers:
+        upper[a].append(b)
+    pairs = []
+    for a in range(m):
+        seen, frontier = {a}, [a]
+        for _ in range(distance):
+            frontier = [c for v in frontier for c in upper[v] if c not in seen]
+            seen.update(frontier)
+        pairs += [(a, c) for c in sorted(set(frontier))]
+    return pairs
+
+
+def test_random_hasse_diagrams_are_validated():
+    rng = random.Random(47)
+    implied = Counter()
+    reversed_ = 0
+    for _ in range(200):
+        p = random_poset(rng, max_m=8)
+        covers = _relabelled_covers(rng, p)
+        q = FinitePoset(p.m, covers)
+        assert sorted(q.covers) == sorted(covers)
+        for v in range(q.m):
+            assert list(q._upper[v]) == sorted(b for a, b in covers if a == v)
+            assert list(q._lower[v]) == sorted(a for a, b in covers if b == v)
+        for distance in (2, 3):
+            pairs = _pairs_at_distance(q.m, covers, distance)
+            if pairs:
+                pair = rng.choice(pairs)
+                for placed in ([pair] + covers, covers + [pair]):
+                    with pytest.raises(ValueError, match="transitively implied"):
+                        FinitePoset(q.m, placed)
+                implied[distance] += 1
+        if covers:
+            a, b = rng.choice(covers)
+            for placed in ([(b, a)] + covers, covers + [(b, a)]):
+                with pytest.raises(ValueError, match="cycle"):
+                    FinitePoset(q.m, placed)
+            reversed_ += 1
+    assert implied[2] > 20 and implied[3] > 20 and reversed_ > 100
 
 
 def test_topological_order_is_linear_extension():

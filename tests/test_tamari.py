@@ -60,7 +60,8 @@ from intervalence.tamari import (
     valence_polynomial,
 )
 
-from helpers import catalan, interval_count, interval_degree_histogram, synchronous_count
+from helpers import (catalan, interval_count, interval_degree_histogram, reference_lattice,
+                     synchronous_count)
 
 LEAF = None
 
@@ -146,8 +147,19 @@ def time_bound(seconds):
     lambda: tamari_lattice(3).leq("x", 0),
     lambda: is_synchronous(tamari_lattice(3), "x", 0),
     lambda: interval_canopy_word(tamari_lattice(3), 0, "x"),
+    lambda: encode("ab"),
+    lambda: encode((None, ")")),
+    lambda: canopy("ab"),
+    lambda: canopy((None, (None, "ab"))),
+    lambda: reverse("ab"),
+    lambda: reverse(((None, None), [None, None])),
+    lambda: rotation_covers("ab"),
+    lambda: rotation_covers((None, "ab")),
+    lambda: rotation_covers(((None, "ab"), None)),
 ], ids=["left_border_factors", "composition", "size", "size_triple", "graft", "as_index",
-        "leq", "is_synchronous", "interval_canopy_word"])
+        "leq", "is_synchronous", "interval_canopy_word", "encode", "encode_separator",
+        "canopy", "canopy_inner", "reverse", "reverse_list", "rotation_covers",
+        "rotation_covers_right", "rotation_covers_inner"])
 def test_non_trees_raise_value_error_at_once(call):
     # a string indexes to itself ("a"[0] == "a"), so a walk down it never ends
     with time_bound(1.0), pytest.raises(ValueError):
@@ -167,6 +179,24 @@ def test_size_composition_and_graft_work_at_depth_5000():
         assert node[1] is None
         node = node[0]
     assert node is deep_right
+    # the walks of encode, canopy, reverse and rotation_covers
+    assert encode(deep_right) == "(o " * 5000 + "o" + ")" * 5000
+    assert encode(deep_left) == "(" * 5000 + "o" + " o)" * 5000
+    assert canopy(deep_right) == "L" * 5000 + "R"
+    assert canopy(deep_left) == "L" + "R" * 5000
+    assert rotation_covers(deep_left) == []
+    node = reverse(deep_left)
+    for _ in range(5000):
+        assert node[0] is None
+        node = node[1]
+    assert node is None
+    # one rotation at the bottom of a left comb: its cover is a left comb,
+    # copied along the 5000 nodes above the rotated one
+    (cover,) = rotation_covers(graft((None, (None, None)), deep_left))
+    for _ in range(5002):
+        assert cover[1] is None
+        cover = cover[0]
+    assert cover is None
 
 
 def test_reverse_is_an_involution_exchanging_combs():
@@ -195,6 +225,20 @@ def test_lattice_sizes_and_extremes():
         assert lat.trees[lat.maximum()] == left_comb(n)
         assert lat.poset.minimal_elements() == [lat.minimum()]
         assert lat.poset.maximal_elements() == [lat.maximum()]
+
+
+@pytest.mark.parametrize("n", [
+    *range(1, 9), *(pytest.param(n, marks=pytest.mark.slow) for n in (9, 10))])
+def test_lattice_matches_per_tree_definitions(n):
+    # the table build against every tree sorted by encode, its rotation
+    # covers looked up one by one and its canopy walked
+    lat = tamari_lattice(n)
+    trees, index, canopies, poset = reference_lattice(n)
+    assert lat.trees == trees
+    assert lat.index == index
+    assert lat.canopies == canopies
+    for field in ("covers", "_upper", "_lower", "_up", "_topo", "_width"):
+        assert getattr(lat.poset, field) == getattr(poset, field), field
 
 
 def test_size_three_lattice_is_the_pentagon():
