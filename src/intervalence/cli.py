@@ -8,8 +8,9 @@ Subcommands:
   truncated series; restricted modes also report the algebraic residual.
 - ``verify``: run the verification suites and summarize the reports.
 - ``table``: joint distribution of two interval statistics, read from the
-  cached interval histogram; csv output streams the per-interval records
-  instead of the aggregate, so none is held in memory.
+  cached interval histogram; csv output writes one row per interval
+  instead, formatting the row text once per interval class and writing it
+  in blocks of ``BLOCK_PIECES`` rows, so no record is built or held.
 - ``trees``: enumerate the trees of a given size with canopy and
   left-border composition.
 
@@ -21,6 +22,7 @@ import argparse
 import contextlib
 import json
 import sys
+from itertools import islice
 
 from . import tamari, verify
 from .series import (BICUBIC_RESIDUAL_COEFFS, SYNC_RESIDUAL_COEFFS, Mode,
@@ -30,17 +32,29 @@ from .poset import INTERVAL_VARS
 STAT_FIELDS = ("dx", "dy", "dybar", "dxbar", "q", "ll", "rr")
 
 
+# pieces joined per write: about 50 KB of ``table --format csv`` rows
+BLOCK_PIECES = 2048
+
+
 def _write(pieces, path):
     """Write the text made of ``pieces`` (streamed, so it need not be held
-    whole) to ``path``, or to stdout.  Stdout always gets one more newline,
-    as ``print`` adds; a file gets one only if the last piece does not end
-    in one."""
+    whole) to ``path``, or to stdout, joining up to ``BLOCK_PIECES`` pieces
+    per ``write``.  Stdout always gets one more newline, as ``print`` adds;
+    a file gets one only if the last piece does not end in one.  The newline
+    goes out with the last block, so a single piece is a single ``write``."""
+    pieces = iter(pieces)
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
-        piece = ""
-        for piece in pieces:
-            out.write(piece)
-        if not path or not piece.endswith("\n"):
-            out.write("\n")
+        block = list(islice(pieces, BLOCK_PIECES))
+        while True:
+            last = block[-1] if block else ""
+            text = "".join(block)
+            block = list(islice(pieces, BLOCK_PIECES))
+            if not block:
+                break
+            out.write(text)
+        if not path or not last.endswith("\n"):
+            text += "\n"
+        out.write(text)
 
 
 def _json_dump(obj):
@@ -178,8 +192,7 @@ def _cmd_table(parser, args):
     if "q" in (first, second) and args.n > 7:
         parser.error("the chain statistic q is supported for n <= 7")
     if args.format == "csv":
-        records = tamari.interval_statistics(args.n)
-        _write((line + "\n" for line in tamari.csv_lines(records)), args.output)
+        _write(tamari.interval_csv(args.n), args.output)
         return 0
     histogram = tamari.interval_histogram(args.n).counts
     table = verify.distribution_table(histogram, first, second)

@@ -23,6 +23,7 @@ JSON serialisation instead sorts terms by exponent vector in plain
 lexicographic order.
 """
 
+from collections.abc import Mapping
 from math import gcd
 
 
@@ -37,6 +38,15 @@ def _universe(vars):
     if len(set(vars)) != len(vars):
         raise ValueError(f"duplicate variable in universe {vars}")
     return vars
+
+
+def _mapping(obj, what):
+    """``obj`` if it is a mapping keyed by variable names; ``TypeError``
+    otherwise, before any of its keys is read."""
+    if not isinstance(obj, Mapping):
+        raise TypeError(f"{what} must be a mapping keyed by variable names, "
+                        f"got {type(obj).__name__}")
+    return obj
 
 
 def _render(terms):
@@ -129,7 +139,7 @@ class MultiPoly:
     def _exponent(self, exponents):
         """Exponent tuple of the monomial given as a name -> exponent dict."""
         exp = [0] * len(self.vars)
-        for name, e in exponents.items():
+        for name, e in _mapping(exponents, "exponents").items():
             exp[self._position(name)] = e
         return tuple(exp)
 
@@ -240,7 +250,7 @@ class MultiPoly:
         """
         target = _universe(vars) if vars is not None else self.vars
         bound = {}
-        for name, val in bindings.items():
+        for name, val in _mapping(bindings, "bindings").items():
             self._position(name)  # raises for a name outside the universe
             if isinstance(val, int):
                 val = MultiPoly.constant(target, val)
@@ -301,6 +311,7 @@ class MultiPoly:
 
     def permute_vars(self, mapping):
         """Rename variables by a bijection of the universe onto itself."""
+        mapping = _mapping(mapping, "mapping")
         img = {name: mapping.get(name, name) for name in self.vars}
         if sorted(img.values()) != sorted(self.vars):
             raise ValueError(f"{mapping} is not a bijection of {self.vars}")

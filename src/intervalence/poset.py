@@ -63,8 +63,10 @@ class FinitePoset:
                 raise ValueError(f"cover {pair} out of range for m={m}")
             if a == b:
                 raise ValueError(f"cover {pair} is a loop")
-            seen.add((a, b))
+            # one copy of each pair: a plain tuple of checked ints is kept as is
+            seen.add(pair if type(pair) is tuple else (a, b))
         covers = tuple(sorted(seen))
+        del seen
         upper = [[] for _ in range(m)]
         lower = [[] for _ in range(m)]
         for a, b in covers:
@@ -168,6 +170,8 @@ class FinitePoset:
 
     def product(self, other):
         """Direct product; element ``(p, q)`` maps to index ``p * other.m + q``."""
+        if not isinstance(other, FinitePoset):
+            raise TypeError(f"the product needs a FinitePoset, got {type(other).__name__}")
         mq = other.m
         covers = []
         for a, b in self.covers:

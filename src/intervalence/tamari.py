@@ -337,7 +337,7 @@ def _lattice_tables(n):
 def tamari_lattice(n):
     """The rotation lattice on trees of size n, cached: 5.1 MB traced at
     n = 9 and 31 MB at n = 10 with the smaller trees (its subtrees), two
-    thirds of it the up-set bitsets; the build peaks at 8.2 and 43 MB.
+    thirds of it the up-set bitsets; the build peaks at 6.4 and 37 MB.
 
     Built from per-size tables (``_lattice_tables``) in one pass over the
     sizes; the per-tree ``rotation_covers``, ``canopy`` and ``encode`` are
@@ -351,25 +351,31 @@ def tamari_lattice(n):
                          tuple(canopies))
 
 
+def _interval(lat, lo, hi):
+    """The tree indices of ``lo <= hi`` in ``lat``; ``TypeError`` if ``lat``
+    is not a ``TamariLattice``, ``ValueError`` if the pair is no interval."""
+    if not isinstance(lat, TamariLattice):
+        raise TypeError(f"expected a TamariLattice, got {type(lat).__name__}")
+    lo = lat.as_index(lo)
+    hi = lat.as_index(hi)
+    if not lat.poset.leq(lo, hi):
+        raise ValueError(f"({lo}, {hi}) is not an interval")
+    return lo, hi
+
+
 def interval_canopy_word(lat, lo, hi):
     """Word over {LL, LR, RR} pairing the canopy letters of an interval.
 
     Letter i is the pair (canopy(lo)[i], canopy(hi)[i]); RL cannot occur
     since canopies only move from L to R upward.
     """
-    lo = lat.as_index(lo)
-    hi = lat.as_index(hi)
-    if not lat.poset.leq(lo, hi):
-        raise ValueError(f"({lo}, {hi}) is not an interval")
+    lo, hi = _interval(lat, lo, hi)
     return tuple(a + b for a, b in zip(lat.canopies[lo], lat.canopies[hi]))
 
 
 def is_synchronous(lat, lo, hi):
     """Whether the interval endpoints have equal canopies."""
-    lo = lat.as_index(lo)
-    hi = lat.as_index(hi)
-    if not lat.poset.leq(lo, hi):
-        raise ValueError(f"({lo}, {hi}) is not an interval")
+    lo, hi = _interval(lat, lo, hi)
     return lat.canopies[lo] == lat.canopies[hi]
 
 
@@ -412,43 +418,56 @@ def _longest_chain_from(upper, his, rank):
     return dist
 
 
-def _canopy_bits(lat):
-    """Canopy words as bitmasks with R = 1.  For an interval with masks
-    ``clo``, ``chi``: ``ll = n - popcount(clo | chi)``,
-    ``rr = popcount(clo & chi) - 1``, and it is synchronous iff ``clo == chi``."""
-    return [sum(1 << i for i, c in enumerate(word) if c == "R") for word in lat.canopies]
+def _interval_classes(lat, with_q):
+    """The interval kernel reduced to classes, the one step shared by the
+    records, the CSV rows and the histogram: for each ``lo`` yield
+    ``(lo, classes)``, where ``classes`` maps each ``hi >= lo`` (in kernel
+    order, see ``FinitePoset._interval_keys``) to the class of the interval
+    packed in one int, read back by ``_class_stats``: from the top, the
+    packed degree key, q in 6 bits (0 without q; q <= 21 for n <= 7), and
+    the numbers of R letters in the canopies of ``hi`` and of ``lo``, 4 bits
+    each (at most n + 1 <= 10).
 
-
-def _interval_walk(lat, with_q):
-    """The interval kernel with the q walk, shared by the records and the
-    histogram: for each ``lo`` yield ``(lo, keys, dist)``, where ``keys`` maps
-    each ``hi >= lo`` to its packed degrees (``FinitePoset._interval_keys``)
-    and ``dist[hi]`` is q (``dist`` is ``None`` without q)."""
+    Canopies only move from L to R upward, so the R letters of ``lo`` are R
+    in ``hi`` too: ``ll = n - R(hi)``, ``rr = R(lo) - 1``, and the interval
+    is synchronous iff ``R(lo) == R(hi)``.
+    """
     poset = lat.poset
+    r = [word.count("R") for word in lat.canopies]
     rank = [0] * poset.m
     for i, v in enumerate(poset.topological_order()):
         rank[v] = i
     for lo, keys in poset._interval_keys():
-        # the elements come from the kernel, so the q walk reads the cover
-        # lists without the element checks of ``upper_covers``
-        yield lo, keys, _longest_chain_from(poset._upper, keys, rank) if with_q else None
+        rlo = r[lo]
+        if with_q:
+            # the elements come from the kernel, so the q walk reads the cover
+            # lists without the element checks of ``upper_covers``
+            dist = _longest_chain_from(poset._upper, keys, rank)
+            yield lo, {hi: (key << 6 | dist[hi]) << 8 | r[hi] << 4 | rlo
+                       for hi, key in keys.items()}
+        else:
+            yield lo, {hi: key << 14 | r[hi] << 4 | rlo for hi, key in keys.items()}
+
+
+def _class_stats(lat, cls, with_q):
+    """``(dx, dy, dybar, dxbar, q, ll, rr, sync)`` of a class packed by
+    ``_interval_classes``."""
+    rlo, rhi, q = cls & 15, cls >> 4 & 15, cls >> 8 & 63
+    return (*lat.poset._degrees(cls >> 14), q if with_q else None,
+            lat.n - rhi, rlo - 1, rlo == rhi)
 
 
 def _records(lat, with_q):
     n = lat.n
-    degrees = {}
-    canopy_bits = _canopy_bits(lat)
-    for lo, keys, dist in _interval_walk(lat, with_q):
-        clo = canopy_bits[lo]
-        for hi in sorted(keys):
-            key = keys[hi]
-            deg = degrees.get(key)
-            if deg is None:
-                deg = degrees[key] = lat.poset._degrees(key)
-            chi = canopy_bits[hi]
-            yield IntervalStat(n, lo, hi, *deg, dist[hi] if with_q else None,
-                               n - (clo | chi).bit_count(), (clo & chi).bit_count() - 1,
-                               clo == chi)
+    stats = {}
+    new = tuple.__new__  # as IntervalStat._make, without its length check
+    for lo, classes in _interval_classes(lat, with_q):
+        for hi in sorted(classes):
+            cls = classes[hi]
+            row = stats.get(cls)
+            if row is None:
+                row = stats[cls] = _class_stats(lat, cls, with_q)
+            yield new(IntervalStat, (n, lo, hi) + row)
 
 
 def _check_statistics_args(n, with_q):
@@ -456,6 +475,8 @@ def _check_statistics_args(n, with_q):
         raise ValueError(f"interval statistics support 1 <= n <= 9, got {n!r}")
     if with_q is None:
         with_q = n <= 7
+    elif type(with_q) is not bool:
+        raise TypeError(f"with_q must be None, True or False, got {with_q!r}")
     if with_q and n > 7:
         raise ValueError(f"the chain statistic q is supported for n <= 7, got n={n}")
     return with_q
@@ -467,10 +488,10 @@ def interval_statistics(n, with_q=None):
 
     Degree statistics support n <= 9; the longest-chain statistic q is
     restricted to n <= 7, where the default computes it.  The arguments are
-    checked at the call, before the first record.  The records are read off
-    the poset's interval kernel (``FinitePoset._interval_keys``): the four
-    cover counts from up-set bitsets, ``ll``/``rr``/``sync`` from canopy
-    bitmasks.  Nothing caches them; ``table --format csv`` streams them.
+    checked at the call, before the first record: ``TypeError`` for a
+    ``with_q`` other than None, True or False.  The records are read off the
+    interval classes of the poset's kernel (``_interval_classes``).  Nothing
+    caches them; ``interval_csv`` writes the same rows without them.
     """
     with_q = _check_statistics_args(n, with_q)
     return _records(tamari_lattice(n), with_q)
@@ -513,41 +534,72 @@ def interval_histogram(n):
     kernel, so no ``IntervalStat`` is built."""
     with_q = _check_statistics_args(n, None)
     lat = tamari_lattice(n)
-    degrees = lat.poset._degrees
     bottom, top = lat.minimum(), lat.maximum()
     counts = {}
     is_extremal = {}
     pairs = []
-    canopy_bits = _canopy_bits(lat)
-    for lo, keys, dist in _interval_walk(lat, with_q):
-        clo = canopy_bits[lo]
-        at_bottom = lo == bottom
-        for hi, key in keys.items():
-            chi = canopy_bits[hi]
-            raw = (key, dist[hi] if with_q else None, (clo | chi).bit_count(),
-                   (clo & chi).bit_count(), hi == lo, at_bottom, hi == top)
+    for lo, classes in _interval_classes(lat, with_q):
+        at_bottom = (lo == bottom) << 1
+        for hi, cls in classes.items():
+            # the class and the flags diagonal, lo_minimal, hi_maximal
+            raw = cls << 3 | (hi == lo) << 2 | at_bottom | (hi == top)
             counts[raw] = counts.get(raw, 0) + 1
-            if key not in is_extremal:
-                dx, dy, dybar, dxbar = degrees(key)
-                is_extremal[key] = dx + dy == dybar + dxbar == n - 1
-            if is_extremal[key]:
+            if cls not in is_extremal:
+                dx, dy, dybar, dxbar = _class_stats(lat, cls, with_q)[:4]
+                is_extremal[cls] = dx + dy == dybar + dxbar == n - 1
+            if is_extremal[cls]:
                 pairs.append((lo, hi))
-    classes = {IntervalClass(*degrees(key), q, n - union, meet - 1, union == meet, *flags): c
-               for (key, q, union, meet, *flags), c in counts.items()}
+    classes = {IntervalClass(*_class_stats(lat, raw >> 3, with_q),
+                             raw & 4 != 0, raw & 2 != 0, raw & 1 != 0): c
+               for raw, c in counts.items()}
     return IntervalHistogram(MappingProxyType(classes), tuple(pairs))
+
+
+def _csv_tail(dx, dy, dybar, dxbar, q, ll, rr, sync):
+    """The CSV text of a row after ``n,lo,hi,``: the row's class.  Every
+    writer formats it once per class and reuses it."""
+    return f"{dx},{dy},{dybar},{dxbar},{'' if q is None else q},{ll},{rr},{int(sync)}"
 
 
 def csv_lines(records):
     """The CSV header, then one line per record; no line terminators."""
     yield CSV_HEADER
+    tails = {}
     for r in records:
-        q = "" if r.q is None else str(r.q)
-        yield (f"{r.n},{r.lo},{r.hi},{r.dx},{r.dy},{r.dybar},{r.dxbar},"
-               f"{q},{r.ll},{r.rr},{int(r.sync)}")
+        cls = r[3:]
+        tail = tails.get(cls)
+        if tail is None:
+            tail = tails[cls] = _csv_tail(*cls)
+        yield f"{r.n},{r.lo},{r.hi},{tail}"
 
 
 def stats_to_csv(records):
     return "\n".join(csv_lines(records)) + "\n"
+
+
+def interval_csv(n, with_q=None):
+    """An iterator over the CSV text of ``interval_statistics(n, with_q)``:
+    the header, then one row per interval in (lo, hi) order, each piece a
+    line with its terminator, so that the pieces joined are
+    ``stats_to_csv(interval_statistics(n, with_q))``.  The arguments are
+    checked at the call.  Rows are read off the interval classes, so no
+    ``IntervalStat`` is built and the text after ``n,lo,hi,`` is formatted
+    once per class (146 classes at n = 8, 223 at n = 9)."""
+    with_q = _check_statistics_args(n, with_q)
+    return _csv_rows(tamari_lattice(n), with_q)
+
+
+def _csv_rows(lat, with_q):
+    yield CSV_HEADER + "\n"
+    tails = {}
+    for lo, classes in _interval_classes(lat, with_q):
+        head = f"{lat.n},{lo},"
+        for hi in sorted(classes):
+            cls = classes[hi]
+            tail = tails.get(cls)
+            if tail is None:
+                tail = tails[cls] = _csv_tail(*_class_stats(lat, cls, with_q)) + "\n"
+            yield f"{head}{hi},{tail}"
 
 
 @lru_cache(maxsize=None, typed=True)

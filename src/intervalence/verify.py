@@ -409,6 +409,8 @@ def run_suites(suite_ids, n_max):
 def summarize_reports(reports):
     lines = []
     for rep in reports:
+        if not isinstance(rep, CheckReport):
+            raise TypeError(f"expected CheckReport records, got {type(rep).__name__}")
         lo, hi = rep.n_range
         line = f"{rep.status.upper():4s} {rep.check_id:13s} n={lo}..{hi} ({rep.wall_time}s)"
         if rep.witness:

@@ -1,6 +1,8 @@
 """Command-line interface: output formats, exit codes, and determinism."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -167,14 +169,49 @@ def test_table_csv_records(capsys):
 
 
 def test_table_csv_bytes_match_stats_to_csv(tmp_path, capsys):
-    # the streamed rows keep the bytes of the whole-text writer: stdout ends
-    # with print's extra newline, an --output file does not
-    text = stats_to_csv(interval_statistics(4))
-    code, out = run(capsys, "table", "--n", "4", "--format", "csv")
-    assert code == 0 and out == text + "\n"
-    path = tmp_path / "table.csv"
-    assert main(["table", "--n", "4", "--format", "csv", "--output", str(path)]) == 0
-    assert path.read_text() == text
+    # the rows written per class keep the bytes of the per-record writer,
+    # q included (n <= 7): stdout ends with print's extra newline, an
+    # --output file does not
+    for n in range(1, 8):
+        text = stats_to_csv(interval_statistics(n))
+        code, out = run(capsys, "table", "--n", str(n), "--format", "csv")
+        assert code == 0 and out == text + "\n", n
+        path = tmp_path / f"table{n}.csv"
+        assert main(["table", "--n", str(n), "--format", "csv", "--output", str(path)]) == 0
+        assert path.read_text() == text, n
+
+
+class CountingBytes(io.BytesIO):
+    """A binary stream that counts the writes that reach it."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+def write_through_stdout(monkeypatch):
+    raw = CountingBytes()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8",
+                                                        write_through=True))
+    return raw
+
+
+def test_table_csv_writes_in_blocks(monkeypatch):
+    # 2531 lines at n = 6: a handful of writes, not one per row
+    raw = write_through_stdout(monkeypatch)
+    assert main(["table", "--n", "6", "--format", "csv"]) == 0
+    assert raw.getvalue().decode() == stats_to_csv(interval_statistics(6)) + "\n"
+    assert 1 <= raw.writes <= 4
+
+
+def test_single_piece_output_is_one_write(monkeypatch):
+    # the print-style newline goes out with the text
+    raw = write_through_stdout(monkeypatch)
+    assert main(["poly", "--n", "2"]) == 0
+    assert raw.getvalue() == b"x xbar + y + ybar\n"
+    assert raw.writes == 1
 
 
 def test_table_q_pair(capsys):

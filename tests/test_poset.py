@@ -51,6 +51,15 @@ def test_constructor_dedupes_and_sorts_covers():
     assert p.covers == ((0, 1), (1, 2))
 
 
+def test_constructor_keeps_one_copy_of_each_cover():
+    # a plain tuple is kept as given; any other pair becomes a plain tuple
+    pair = (0, 1)
+    p = FinitePoset(3, [pair, [1, 2]])
+    assert p.covers == ((0, 1), (1, 2))
+    assert p.covers[0] is pair
+    assert all(type(c) is tuple for c in p.covers)
+
+
 def test_order_and_covers_on_pentagon():
     p = PENTAGON
     assert p.leq(0, 4) and p.leq(1, 3) and p.leq(1, 4)

@@ -13,6 +13,7 @@ Covers: 4<2, 4<3, 3<1, 2<0, 1<0 (the pentagon).
 
 import random
 import signal
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 
@@ -52,6 +53,7 @@ from intervalence.tamari import (
     graft,
     is_composition_coarser,
     is_indecomposable,
+    interval_csv,
     interval_histogram,
     left_comb,
     right_comb,
@@ -59,6 +61,7 @@ from intervalence.tamari import (
     stats_to_csv,
     valence_polynomial,
 )
+from intervalence.verify import summarize_reports
 
 from helpers import (catalan, interval_count, interval_degree_histogram, reference_lattice,
                      synchronous_count)
@@ -241,6 +244,19 @@ def test_lattice_matches_per_tree_definitions(n):
         assert getattr(lat.poset, field) == getattr(poset, field), field
 
 
+def test_lattice_build_peak_is_bounded():
+    # traced peak of building the size-9 lattice afresh: 8.1 MB while
+    # FinitePoset copied every cover pair into a set and then a tuple,
+    # 6.4 MB with one copy of each pair
+    tracemalloc.start()
+    try:
+        tamari_lattice.__wrapped__(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.2e6
+
+
 def test_size_three_lattice_is_the_pentagon():
     lat = tamari_lattice(3)
     assert [encode(t) for t in lat.trees] == [
@@ -412,6 +428,11 @@ def test_interval_statistics_validation():
         interval_statistics(10)
     with pytest.raises(ValueError):
         interval_statistics(8, with_q=True)
+    for with_q in ("yes", 1, 0):
+        with pytest.raises(TypeError):
+            interval_statistics(3, with_q)
+        with pytest.raises(TypeError):
+            interval_csv(3, with_q)
     for n in (0, 10, 2.0):
         with pytest.raises(ValueError):
             interval_histogram(n)
@@ -510,8 +531,26 @@ def test_bool_integers_rejected(build):
     lambda: SeriesT(("x",), 1, [1]),
     lambda: MultiPoly(("x",), [((1,), 1)]),
     lambda: decode(5),
+    lambda: interval_canopy_word(None, 0, 0),
+    lambda: is_synchronous(FinitePoset(1, []), 0, 0),
+    lambda: FinitePoset(1, []).product(None),
+    lambda: summarize_reports([1]),
+    lambda: MultiPoly.monomial(("x",), ["x"]),
+    lambda: MultiPoly.monomial(("x",), None),
+    lambda: MultiPoly.variable(("x",), "x").coefficient([("x", 1)]),
+    lambda: MultiPoly.variable(("x",), "x").coefficient(None),
+    lambda: MultiPoly.variable(("x",), "x").substitute([("x", 1)]),
+    lambda: MultiPoly.variable(("x",), "x").substitute(None),
+    lambda: MultiPoly.variable(("x",), "x").permute_vars(["x"]),
+    lambda: MultiPoly.zero(()).permute_vars(None),
+    lambda: MultiPoly.variable(("x",), "x").is_symmetric(["x"]),
+    lambda: MultiPoly.variable(("x",), "x").is_symmetric(None),
 ], ids=["solve", "alternative_decomposition", "bridge_identity", "residual",
-        "divided_difference", "series_coefficient", "terms_list", "decode"])
+        "divided_difference", "series_coefficient", "terms_list", "decode",
+        "canopy_word_lattice", "synchronous_lattice", "poset_product",
+        "summarize_reports", "monomial_list", "monomial_none", "coefficient_list",
+        "coefficient_none", "substitute_list", "substitute_none", "permute_vars_list",
+        "permute_vars_none", "is_symmetric_list", "is_symmetric_none"])
 def test_arguments_of_the_wrong_type_raise_type_error(call):
     with pytest.raises(TypeError):
         call()
@@ -559,6 +598,12 @@ def test_stats_to_csv_layout():
     assert lines[2] == "2,1,0,1,0,0,1,1,0,0,0"
     q_blank = stats_to_csv(interval_statistics(2, with_q=False)).strip().split("\n")
     assert q_blank[1] == "2,0,0,0,0,1,0,,0,1,1"
+    # the rows written per class, line by line, with and without q
+    for n in range(1, 7):
+        for with_q in (True, False):
+            pieces = list(interval_csv(n, with_q))
+            assert all(p.count("\n") == 1 and p.endswith("\n") for p in pieces)
+            assert "".join(pieces) == stats_to_csv(interval_statistics(n, with_q))
 
 
 # ------------------------------------------------------------- enumerators
