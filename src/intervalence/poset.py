@@ -10,7 +10,7 @@ rather than silently reducing it.
 Two weight enumerators are attached to a poset P:
 
 - the valence polynomial ``D_P(a, abar)``: each element contributes
-  ``a**out_degree * abar**in_degree``, degrees taken in the Hasse diagram.
+  ``a**out * abar**in``, its numbers of upper and lower covers.
   It is multiplicative over direct products and swaps ``a, abar`` under
   dualisation.
 
@@ -136,20 +136,11 @@ class FinitePoset:
     def leq(self, a, b):
         return self._up[self._element(a)] >> self._element(b) & 1 == 1
 
-    def less(self, a, b):
-        return a != b and self.leq(a, b)
-
     def upper_covers(self, a):
         return self._upper[self._element(a)]
 
     def lower_covers(self, a):
         return self._lower[self._element(a)]
-
-    def out_degree(self, a):
-        return len(self.upper_covers(a))
-
-    def in_degree(self, a):
-        return len(self.lower_covers(a))
 
     def up_set(self, a):
         """Elements >= a, ascending."""
@@ -157,12 +148,6 @@ class FinitePoset:
 
     def topological_order(self):
         return self._topo
-
-    def minimal_elements(self):
-        return [v for v in range(self.m) if not self._lower[v]]
-
-    def maximal_elements(self):
-        return [v for v in range(self.m) if not self._upper[v]]
 
     def dual(self):
         """Same elements, all covers reversed."""
@@ -212,7 +197,10 @@ class FinitePoset:
 
     def interval_degrees(self, interval):
         """Four cover counts ``(dx, dy, dybar, dxbar)`` of an interval."""
-        lo, hi = interval
+        try:
+            lo, hi = interval
+        except (TypeError, ValueError):
+            raise TypeError(f"an interval is a (lo, hi) pair, got {interval!r}") from None
         if not self.leq(lo, hi):
             raise ValueError(f"({lo}, {hi}) is not an interval")
         up = self._up

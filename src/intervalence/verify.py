@@ -397,9 +397,16 @@ def check_real_rootedness(n_max, failures):
 
 
 def run_suites(suite_ids, n_max):
-    """Run the named suites (or all of them) and collect the reports."""
+    """Run the named suites (or all of them) and collect the reports.
+
+    ``suite_ids`` is one suite name, a list of names, or ``None``/``"all"``;
+    ``n_max`` is an int (a bool is not)."""
+    if type(n_max) is not int:
+        raise TypeError(f"n_max must be an int, got {type(n_max).__name__}")
     if suite_ids in (None, "all") or suite_ids == ["all"]:
         suite_ids = list(SUITES)
+    elif isinstance(suite_ids, str):
+        suite_ids = [suite_ids]
     unknown = [s for s in suite_ids if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s) {unknown}; available: {sorted(SUITES)}")

@@ -64,12 +64,9 @@ def test_order_and_covers_on_pentagon():
     p = PENTAGON
     assert p.leq(0, 4) and p.leq(1, 3) and p.leq(1, 4)
     assert not p.leq(1, 2) and not p.leq(3, 2)
-    assert p.less(0, 1) and not p.less(1, 1)
     assert p.upper_covers(0) == (1, 2)
     assert p.lower_covers(4) == (2, 3)
-    assert p.out_degree(0) == 2 and p.in_degree(0) == 0
-    assert p.minimal_elements() == [0]
-    assert p.maximal_elements() == [4]
+    assert p.lower_covers(0) == () and p.upper_covers(4) == ()
     assert p.up_set(1) == [1, 3, 4]
 
 
@@ -237,6 +234,9 @@ def test_interval_poset_order_is_componentwise():
 def test_interval_degrees_validation():
     with pytest.raises(ValueError):
         PENTAGON.interval_degrees((1, 2))
+    for bad in (5, None, (0, 1, 2)):
+        with pytest.raises(TypeError, match=r"\(lo, hi\) pair"):
+            PENTAGON.interval_degrees(bad)
 
 
 @pytest.mark.parametrize("query", [
@@ -247,10 +247,8 @@ def test_interval_degrees_validation():
     lambda p, a: p.up_set(a),
     lambda p, a: p.upper_covers(a),
     lambda p, a: p.lower_covers(a),
-    lambda p, a: p.out_degree(a),
-    lambda p, a: p.in_degree(a),
 ], ids=["leq_lo", "leq_hi", "interval_degrees_lo", "interval_degrees_hi", "up_set",
-        "upper_covers", "lower_covers", "out_degree", "in_degree"])
+        "upper_covers", "lower_covers"])
 @pytest.mark.parametrize("element", [3, 7, -1, True, 1.0], ids=repr)
 def test_bad_elements_rejected(query, element):
     # a negative index would silently read from the end of the cover lists
@@ -275,8 +273,8 @@ def test_degree_zero_characterizations():
         for lo, hi in p.intervals():
             dx, dy, dybar, dxbar = p.interval_degrees((lo, hi))
             assert (dx == 0) == (lo == hi) == (dxbar == 0)
-            assert (dy == 0) == (hi in p.maximal_elements())
-            assert (dybar == 0) == (lo in p.minimal_elements())
+            assert (dy == 0) == (p.up_set(hi) == [hi])
+            assert (dybar == 0) == (not any(p.leq(v, lo) for v in range(p.m) if v != lo))
 
 
 # --------------------------------------------------- interval weight identities

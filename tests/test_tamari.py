@@ -61,7 +61,7 @@ from intervalence.tamari import (
     stats_to_csv,
     valence_polynomial,
 )
-from intervalence.verify import summarize_reports
+from intervalence.verify import run_suites, summarize_reports
 
 from helpers import (catalan, interval_count, interval_degree_histogram, reference_lattice,
                      synchronous_count)
@@ -226,8 +226,9 @@ def test_lattice_sizes_and_extremes():
         assert len(lat.trees) == catalan(n)
         assert lat.trees[lat.minimum()] == right_comb(n)
         assert lat.trees[lat.maximum()] == left_comb(n)
-        assert lat.poset.minimal_elements() == [lat.minimum()]
-        assert lat.poset.maximal_elements() == [lat.maximum()]
+        poset = lat.poset
+        assert [v for v in range(poset.m) if not poset.lower_covers(v)] == [lat.minimum()]
+        assert [v for v in range(poset.m) if not poset.upper_covers(v)] == [lat.maximum()]
 
 
 @pytest.mark.parametrize("n", [
@@ -545,12 +546,18 @@ def test_bool_integers_rejected(build):
     lambda: MultiPoly.zero(()).permute_vars(None),
     lambda: MultiPoly.variable(("x",), "x").is_symmetric(["x"]),
     lambda: MultiPoly.variable(("x",), "x").is_symmetric(None),
+    lambda: FinitePoset(1, []).interval_degrees(0),
+    lambda: run_suites(["ternary"], True),
+    lambda: run_suites(["ternary"], 3.0),
+    lambda: run_suites("ternary", "3"),
 ], ids=["solve", "alternative_decomposition", "bridge_identity", "residual",
         "divided_difference", "series_coefficient", "terms_list", "decode",
         "canopy_word_lattice", "synchronous_lattice", "poset_product",
         "summarize_reports", "monomial_list", "monomial_none", "coefficient_list",
         "coefficient_none", "substitute_list", "substitute_none", "permute_vars_list",
-        "permute_vars_none", "is_symmetric_list", "is_symmetric_none"])
+        "permute_vars_none", "is_symmetric_list", "is_symmetric_none",
+        "interval_degrees_not_a_pair", "run_suites_bool_n_max", "run_suites_float_n_max",
+        "run_suites_str_n_max"])
 def test_arguments_of_the_wrong_type_raise_type_error(call):
     with pytest.raises(TypeError):
         call()

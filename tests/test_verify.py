@@ -132,6 +132,11 @@ def test_run_suites_all_and_unknown():
     assert sorted(r.check_id for r in reports) == sorted(SUITES)
     with pytest.raises(ValueError):
         run_suites(["nosuch"], 3)
+    # a bare name is one suite, not a sequence of one-letter names
+    report, = run_suites("ternary", 3)
+    assert report.check_id == "ternary"
+    with pytest.raises(ValueError, match=r"\['nosuch'\]"):
+        run_suites("nosuch", 3)
 
 
 def test_summarize_reports_format():
