@@ -10,7 +10,7 @@ rather than silently reducing it.
 Two weight enumerators are attached to a poset P:
 
 - the valence polynomial ``D_P(a, abar)``: each element contributes
-  ``a**out * abar**in``, its numbers of upper and lower covers.
+  ``a**out_degree * abar**in_degree``, degrees taken in the Hasse diagram.
   It is multiplicative over direct products and swaps ``a, abar`` under
   dualisation.
 
@@ -141,6 +141,12 @@ class FinitePoset:
 
     def lower_covers(self, a):
         return self._lower[self._element(a)]
+
+    def out_degree(self, a):
+        return len(self.upper_covers(a))
+
+    def in_degree(self, a):
+        return len(self.lower_covers(a))
 
     def up_set(self, a):
         """Elements >= a, ascending."""

@@ -67,6 +67,7 @@ def test_order_and_covers_on_pentagon():
     assert p.upper_covers(0) == (1, 2)
     assert p.lower_covers(4) == (2, 3)
     assert p.lower_covers(0) == () and p.upper_covers(4) == ()
+    assert p.out_degree(0) == 2 and p.in_degree(0) == 0
     assert p.up_set(1) == [1, 3, 4]
 
 
@@ -247,8 +248,10 @@ def test_interval_degrees_validation():
     lambda p, a: p.up_set(a),
     lambda p, a: p.upper_covers(a),
     lambda p, a: p.lower_covers(a),
+    lambda p, a: p.out_degree(a),
+    lambda p, a: p.in_degree(a),
 ], ids=["leq_lo", "leq_hi", "interval_degrees_lo", "interval_degrees_hi", "up_set",
-        "upper_covers", "lower_covers"])
+        "upper_covers", "lower_covers", "out_degree", "in_degree"])
 @pytest.mark.parametrize("element", [3, 7, -1, True, 1.0], ids=repr)
 def test_bad_elements_rejected(query, element):
     # a negative index would silently read from the end of the cover lists
