@@ -163,6 +163,10 @@ class MultiPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its int (see ``__eq__``), so it hashes as that int
+        zero = (0,) * len(self.vars)
+        if self.terms.keys() <= {zero}:
+            return hash(self.terms.get(zero, 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __add__(self, other):

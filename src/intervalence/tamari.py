@@ -215,13 +215,14 @@ def canopy(t):
 
 def is_indecomposable(t):
     """Whether the root's left child is a leaf (single left-border factor)."""
-    if t is None:
+    if _tree(t) is None:
         raise ValueError("the empty tree has no factors")
-    return t[0] is None
+    return _tree(t[0]) is None
 
 
 def graft(a, b):
-    """Replace the leftmost leaf of b by a."""
+    """Replace the leftmost leaf of b by a, checking the root of a as a tree."""
+    _tree(a)
     for node in reversed(_left_spine(b)):
         a = (a, node[1])
     return a
@@ -418,56 +419,56 @@ def _longest_chain_from(upper, his, rank):
     return dist
 
 
-def _interval_classes(lat, with_q):
+def _interval_classes(lat, with_q, table):
     """The interval kernel reduced to classes, the one step shared by the
     records, the CSV rows and the histogram: for each ``lo`` yield
-    ``(lo, classes)``, where ``classes`` maps each ``hi >= lo`` (in kernel
-    order, see ``FinitePoset._interval_keys``) to the class of the interval
-    packed in one int, read back by ``_class_stats``: from the top, the
-    packed degree key, q in 6 bits (0 without q; q <= 21 for n <= 7), and
-    the numbers of R letters in the canopies of ``hi`` and of ``lo``, 4 bits
-    each (at most n + 1 <= 10).
+    ``(lo, ids)``, where ``ids`` maps each ``hi >= lo`` (in kernel order, see
+    ``FinitePoset._interval_keys``) to the class id of the interval, an
+    index into ``table``.  Each class is appended to ``table`` once, when
+    first met and before its ``lo`` is yielded, as ``(dx, dy, dybar, dxbar,
+    q, ll, rr, sync)`` (``q`` None without q).
 
+    A class is memoised here by one packed int: from the bottom, the packed
+    degree key, then the numbers of R letters in the canopies of ``hi`` and
+    of ``lo``, 4 bits each (at most n + 1 <= 10), then q (0 without q).
     Canopies only move from L to R upward, so the R letters of ``lo`` are R
     in ``hi`` too: ``ll = n - R(hi)``, ``rr = R(lo) - 1``, and the interval
     is synchronous iff ``R(lo) == R(hi)``.
     """
-    poset = lat.poset
-    r = [word.count("R") for word in lat.canopies]
+    n, poset = lat.n, lat.poset
+    width = 4 * poset._width  # the bits of the packed degree key
+    r = [word.count("R") << width for word in lat.canopies]  # R(t), in its field
     rank = [0] * poset.m
     for i, v in enumerate(poset.topological_order()):
         rank[v] = i
+    index = {}  # packed class -> class id, in table order
+    class_id = index.setdefault
     for lo, keys in poset._interval_keys():
-        rlo = r[lo]
+        rlo = r[lo] << 4
         if with_q:
             # the elements come from the kernel, so the q walk reads the cover
             # lists without the element checks of ``upper_covers``
             dist = _longest_chain_from(poset._upper, keys, rank)
-            yield lo, {hi: (key << 6 | dist[hi]) << 8 | r[hi] << 4 | rlo
-                       for hi, key in keys.items()}
+            ids = {hi: class_id(key | r[hi] | rlo | dist[hi] << width + 8, len(index))
+                   for hi, key in keys.items()}
         else:
-            yield lo, {hi: key << 14 | r[hi] << 4 | rlo for hi, key in keys.items()}
-
-
-def _class_stats(lat, cls, with_q):
-    """``(dx, dy, dybar, dxbar, q, ll, rr, sync)`` of a class packed by
-    ``_interval_classes``."""
-    rlo, rhi, q = cls & 15, cls >> 4 & 15, cls >> 8 & 63
-    return (*lat.poset._degrees(cls >> 14), q if with_q else None,
-            lat.n - rhi, rlo - 1, rlo == rhi)
+            ids = {hi: class_id(key | r[hi] | rlo, len(index)) for hi, key in keys.items()}
+        if len(table) < len(index):  # decode the classes first met at this lo
+            for cls in list(index)[len(table):]:
+                r_hi, r_lo = cls >> width & 15, cls >> width + 4 & 15
+                table.append((*poset._degrees(cls & (1 << width) - 1),
+                              cls >> width + 8 if with_q else None,
+                              n - r_hi, r_lo - 1, r_lo == r_hi))
+        yield lo, ids
 
 
 def _records(lat, with_q):
     n = lat.n
-    stats = {}
+    table = []
     new = tuple.__new__  # as IntervalStat._make, without its length check
-    for lo, classes in _interval_classes(lat, with_q):
-        for hi in sorted(classes):
-            cls = classes[hi]
-            row = stats.get(cls)
-            if row is None:
-                row = stats[cls] = _class_stats(lat, cls, with_q)
-            yield new(IntervalStat, (n, lo, hi) + row)
+    for lo, ids in _interval_classes(lat, with_q, table):
+        for hi in sorted(ids):
+            yield new(IntervalStat, (n, lo, hi) + table[ids[hi]])
 
 
 def _check_statistics_args(n, with_q):
@@ -530,27 +531,25 @@ class IntervalHistogram(NamedTuple):
 def interval_histogram(n):
     """The intervals of the size-n lattice counted by ``IntervalClass``,
     cached: 653 classes for the 16,965 intervals at n = 7.  Same range and
-    q default as ``interval_statistics``; counted straight from the interval
-    kernel, so no ``IntervalStat`` is built."""
+    q default as ``interval_statistics``; counted straight from the class
+    ids of ``_interval_classes``, each with its three flags, so no
+    ``IntervalStat`` is built, and the doubly-extremal condition is tested
+    once per class on its decoded row."""
     with_q = _check_statistics_args(n, None)
     lat = tamari_lattice(n)
     bottom, top = lat.minimum(), lat.maximum()
-    counts = {}
-    is_extremal = {}
-    pairs = []
-    for lo, classes in _interval_classes(lat, with_q):
+    table, extremal, counts, pairs = [], [], {}, []
+    for lo, ids in _interval_classes(lat, with_q, table):
+        extremal += [dx + dy == dybar + dxbar == n - 1
+                     for dx, dy, dybar, dxbar, *_ in table[len(extremal):]]
         at_bottom = (lo == bottom) << 1
-        for hi, cls in classes.items():
-            # the class and the flags diagonal, lo_minimal, hi_maximal
-            raw = cls << 3 | (hi == lo) << 2 | at_bottom | (hi == top)
+        for hi, i in ids.items():
+            # the class id and the flags diagonal, lo_minimal, hi_maximal
+            raw = i << 3 | (hi == lo) << 2 | at_bottom | (hi == top)
             counts[raw] = counts.get(raw, 0) + 1
-            if cls not in is_extremal:
-                dx, dy, dybar, dxbar = _class_stats(lat, cls, with_q)[:4]
-                is_extremal[cls] = dx + dy == dybar + dxbar == n - 1
-            if is_extremal[cls]:
+            if extremal[i]:
                 pairs.append((lo, hi))
-    classes = {IntervalClass(*_class_stats(lat, raw >> 3, with_q),
-                             raw & 4 != 0, raw & 2 != 0, raw & 1 != 0): c
+    classes = {IntervalClass(*table[raw >> 3], raw & 4 != 0, raw & 2 != 0, raw & 1 != 0): c
                for raw, c in counts.items()}
     return IntervalHistogram(MappingProxyType(classes), tuple(pairs))
 
@@ -561,20 +560,19 @@ def _csv_tail(dx, dy, dybar, dxbar, q, ll, rr, sync):
     return f"{dx},{dy},{dybar},{dxbar},{'' if q is None else q},{ll},{rr},{int(sync)}"
 
 
-def csv_lines(records):
-    """The CSV header, then one line per record; no line terminators."""
-    yield CSV_HEADER
+def stats_to_csv(records):
+    """The CSV text of ``IntervalStat`` records: the header, then one line
+    per record, each line terminated.  ``interval_csv`` writes the same text
+    for a whole lattice without building the records."""
+    lines = [CSV_HEADER]
     tails = {}
     for r in records:
         cls = r[3:]
         tail = tails.get(cls)
         if tail is None:
             tail = tails[cls] = _csv_tail(*cls)
-        yield f"{r.n},{r.lo},{r.hi},{tail}"
-
-
-def stats_to_csv(records):
-    return "\n".join(csv_lines(records)) + "\n"
+        lines.append(f"{r.n},{r.lo},{r.hi},{tail}")
+    return "\n".join(lines) + "\n"
 
 
 def interval_csv(n, with_q=None):
@@ -582,24 +580,22 @@ def interval_csv(n, with_q=None):
     the header, then one row per interval in (lo, hi) order, each piece a
     line with its terminator, so that the pieces joined are
     ``stats_to_csv(interval_statistics(n, with_q))``.  The arguments are
-    checked at the call.  Rows are read off the interval classes, so no
-    ``IntervalStat`` is built and the text after ``n,lo,hi,`` is formatted
-    once per class (146 classes at n = 8, 223 at n = 9)."""
+    checked at the call.  Rows are read off the class table of
+    ``_interval_classes``, so no ``IntervalStat`` is built and the text
+    after ``n,lo,hi,`` is formatted once per class (146 classes at n = 8,
+    223 at n = 9)."""
     with_q = _check_statistics_args(n, with_q)
     return _csv_rows(tamari_lattice(n), with_q)
 
 
 def _csv_rows(lat, with_q):
     yield CSV_HEADER + "\n"
-    tails = {}
-    for lo, classes in _interval_classes(lat, with_q):
+    table, tails = [], []
+    for lo, ids in _interval_classes(lat, with_q, table):
+        tails += [_csv_tail(*cls) + "\n" for cls in table[len(tails):]]
         head = f"{lat.n},{lo},"
-        for hi in sorted(classes):
-            cls = classes[hi]
-            tail = tails.get(cls)
-            if tail is None:
-                tail = tails[cls] = _csv_tail(*_class_stats(lat, cls, with_q)) + "\n"
-            yield f"{head}{hi},{tail}"
+        for hi in sorted(ids):
+            yield f"{head}{hi},{tails[ids[hi]]}"
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -10,6 +10,7 @@ cross-checked by hand against direct enumeration at n <= 3.
 
 import itertools
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from math import factorial
 
@@ -140,6 +141,8 @@ def distribution_table(histogram, stat_a, stat_b):
     ``Counter`` of records) to their numbers of intervals.  A statistic that
     a class lacks or holds as ``None`` (q past n = 7) is a ``ValueError``: a
     table keyed by ``None`` would pass any comparison without testing it."""
+    if not isinstance(histogram, Mapping):
+        raise TypeError(f"a histogram must be a mapping, got {type(histogram).__name__}")
     out = {}
     for c, k in histogram.items():
         key = (getattr(c, stat_a, None), getattr(c, stat_b, None))
@@ -170,6 +173,8 @@ def _differences(table, base):
 def table_to_matrix(table, n):
     """Render a pair table on the n x n grid: first statistic increasing
     left to right, second decreasing top to bottom."""
+    if not isinstance(table, Mapping):
+        raise TypeError(f"a pair table must be a mapping, got {type(table).__name__}")
     return [[table.get((c, n - 1 - r), 0) for c in range(n)] for r in range(n)]
 
 

@@ -82,6 +82,19 @@ def test_equality_with_bool_is_false():
         [x, one].index(True)
 
 
+def test_constants_hash_as_their_int():
+    # a constant equals its int, so a set or dict must find one by the other
+    for vars in ((), ("x",), ("u", "v")):
+        for c in (0, 3, -2):
+            p = MultiPoly.constant(vars, c)
+            assert p == c and hash(p) == hash(c)
+            assert len({p, c}) == 1 and {c: "a"}.get(p) == "a"
+    assert {0: "zero"}.get(MultiPoly.zero(("x",))) == "zero"
+    # equal non-constant polynomials still share a hash
+    x = MultiPoly.variable(("x", "y"), "x")
+    assert hash(x + 1) == hash(MultiPoly(("x", "y"), {(1, 0): 1, (0, 0): 1}))
+
+
 def test_arithmetic_small_cases():
     u = MultiPoly.variable(("u", "v"), "u")
     v = MultiPoly.variable(("u", "v"), "v")

@@ -50,6 +50,7 @@ from intervalence.tamari import (
     CSV_HEADER,
     IntervalClass,
     IntervalStat,
+    _interval_classes,
     graft,
     is_composition_coarser,
     is_indecomposable,
@@ -61,7 +62,8 @@ from intervalence.tamari import (
     stats_to_csv,
     valence_polynomial,
 )
-from intervalence.verify import run_suites, summarize_reports
+from intervalence.verify import (distribution_table, run_suites, summarize_reports,
+                                 table_to_matrix)
 
 from helpers import (catalan, interval_count, interval_degree_histogram, reference_lattice,
                      synchronous_count)
@@ -159,10 +161,15 @@ def time_bound(seconds):
     lambda: rotation_covers("ab"),
     lambda: rotation_covers((None, "ab")),
     lambda: rotation_covers(((None, "ab"), None)),
+    lambda: is_indecomposable("ab"),
+    lambda: is_indecomposable((1, 2)),
+    lambda: is_indecomposable({}),
+    lambda: graft("x", (None, None)),
 ], ids=["left_border_factors", "composition", "size", "size_triple", "graft", "as_index",
         "leq", "is_synchronous", "interval_canopy_word", "encode", "encode_separator",
         "canopy", "canopy_inner", "reverse", "reverse_list", "rotation_covers",
-        "rotation_covers_right", "rotation_covers_inner"])
+        "rotation_covers_right", "rotation_covers_inner", "is_indecomposable",
+        "is_indecomposable_left_child", "is_indecomposable_dict", "graft_first_tree"])
 def test_non_trees_raise_value_error_at_once(call):
     # a string indexes to itself ("a"[0] == "a"), so a walk down it never ends
     with time_bound(1.0), pytest.raises(ValueError):
@@ -480,6 +487,37 @@ def test_interval_histogram_counts_the_records():
         interval_histogram(2).counts[next(iter(interval_histogram(2).counts))] = 0
 
 
+@pytest.mark.parametrize("n, classes", [
+    (7, 653), (8, 146), pytest.param(9, 223, marks=pytest.mark.slow)])
+def test_interval_classes_feed_every_reader_one_table(n, classes):
+    # one walk of the class step against the records, the CSV rows and the
+    # histogram, which each walk it again: every (lo, hi) reads one class
+    lat = tamari_lattice(n)
+    bottom, top = lat.minimum(), lat.maximum()
+    records, rows = interval_statistics(n), interval_csv(n)
+    assert next(rows) == CSV_HEADER + "\n"
+    table, counts, extremal, distinct = [], Counter(), [], set()
+    for lo, ids in _interval_classes(lat, n <= 7, table):
+        for hi, i in ids.items():  # kernel order, as the histogram walks it
+            dx, dy, dybar, dxbar = table[i][:4]
+            counts[IntervalClass(*table[i], lo == hi, lo == bottom, hi == top)] += 1
+            if dx + dy == n - 1 == dybar + dxbar:
+                extremal.append((lo, hi))
+        for hi in sorted(ids):
+            cls = table[ids[hi]]
+            record = next(records)
+            distinct.add(record[3:])
+            assert record == (n, lo, hi) + cls
+            dx, dy, dybar, dxbar, q, ll, rr, sync = cls
+            assert next(rows) == (f"{n},{lo},{hi},{dx},{dy},{dybar},{dxbar},"
+                                  f"{'' if q is None else q},{ll},{rr},{int(sync)}\n")
+    assert next(records, None) is None and next(rows, None) is None
+    assert len(set(table)) == len(table) == len(distinct) == classes
+    histogram = interval_histogram(n)
+    assert histogram.counts == counts
+    assert histogram.extremal == tuple(extremal)
+
+
 def test_interval_statistics_is_not_cached():
     first, second = interval_statistics(3), interval_statistics(3)
     assert iter(first) is first and first is not second
@@ -550,6 +588,8 @@ def test_bool_integers_rejected(build):
     lambda: run_suites(["ternary"], True),
     lambda: run_suites(["ternary"], 3.0),
     lambda: run_suites("ternary", "3"),
+    lambda: distribution_table(None, "dx", "dy"),
+    lambda: table_to_matrix([1, 2], 2),
 ], ids=["solve", "alternative_decomposition", "bridge_identity", "residual",
         "divided_difference", "series_coefficient", "terms_list", "decode",
         "canopy_word_lattice", "synchronous_lattice", "poset_product",
@@ -557,7 +597,7 @@ def test_bool_integers_rejected(build):
         "coefficient_none", "substitute_list", "substitute_none", "permute_vars_list",
         "permute_vars_none", "is_symmetric_list", "is_symmetric_none",
         "interval_degrees_not_a_pair", "run_suites_bool_n_max", "run_suites_float_n_max",
-        "run_suites_str_n_max"])
+        "run_suites_str_n_max", "distribution_table_none", "table_to_matrix_list"])
 def test_arguments_of_the_wrong_type_raise_type_error(call):
     with pytest.raises(TypeError):
         call()
