@@ -29,7 +29,7 @@ from .series import (BICUBIC_RESIDUAL_COEFFS, SYNC_RESIDUAL_COEFFS, Mode,
                      SystemConfig, residual, solve)
 from .poset import INTERVAL_VARS
 
-STAT_FIELDS = ("dx", "dy", "dybar", "dxbar", "q", "ll", "rr")
+STAT_FIELDS = tamari.IntervalClass._fields[:7]
 
 
 # pieces joined per write: about 50 KB of ``table --format csv`` rows

@@ -33,7 +33,10 @@ def _display_key(exp):
 
 
 def _universe(vars):
-    """``vars`` as a tuple, checked to name each variable once."""
+    """``vars`` as a tuple, checked to name each variable once; a bare str
+    is ``TypeError``, not a tuple of its letters."""
+    if isinstance(vars, str):
+        raise TypeError(f"a universe is a sequence of variable names, not the str {vars!r}")
     vars = tuple(vars)
     if len(set(vars)) != len(vars):
         raise ValueError(f"duplicate variable in universe {vars}")
@@ -69,7 +72,8 @@ class MultiPoly:
     ``terms`` maps exponent tuples to nonzero integer coefficients.  Two
     polynomials interoperate only if their universes are identical; use
     ``substitute`` to move between universes (``permute_vars`` is a
-    ``substitute`` call).
+    ``substitute`` call).  A constant equals its int, so two constants are
+    equal by value whatever their universes.
     """
 
     __slots__ = ("vars", "terms")
@@ -127,7 +131,7 @@ class MultiPoly:
     @classmethod
     def monomial(cls, vars, exponents, coeff=1):
         """Single term ``coeff * prod(name**e)`` from a name -> exponent dict."""
-        vars = tuple(vars)
+        vars = _universe(vars)
         return cls(vars, {cls._raw(vars, {})._exponent(exponents): coeff})
 
     def _position(self, name):
@@ -153,20 +157,28 @@ class MultiPoly:
     def is_monomial(self):
         return len(self.terms) == 1
 
+    def _constant_value(self):
+        """The int a constant polynomial equals; None if it is not constant."""
+        zero = (0,) * len(self.vars)
+        return self.terms.get(zero, 0) if self.terms.keys() <= {zero} else None
+
     def __eq__(self, other):
         if type(other) is bool:
             return NotImplemented
         if isinstance(other, int):
-            return self.terms == MultiPoly.constant(self.vars, other).terms
+            return self._constant_value() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        if self.vars != other.vars:
+            value = self._constant_value()
+            return value is not None and value == other._constant_value()
+        return self.terms == other.terms
 
     def __hash__(self):
         # a constant equals its int (see ``__eq__``), so it hashes as that int
-        zero = (0,) * len(self.vars)
-        if self.terms.keys() <= {zero}:
-            return hash(self.terms.get(zero, 0))
+        value = self._constant_value()
+        if value is not None:
+            return hash(value)
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __add__(self, other):
@@ -297,19 +309,11 @@ class MultiPoly:
                     del out[key]
             return MultiPoly._raw(target, out)
         result = MultiPoly.zero(target)
-        powers = [{0: MultiPoly.one(target)} for _ in images]
         for exp, coeff in self.terms.items():
             term = MultiPoly.constant(target, coeff)
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    p = max(cache)
-                    while p < e:
-                        cache[p + 1] = cache[p] * images[i]
-                        p += 1
-                term = term * cache[e]
+            for e, image in zip(exp, images):
+                if e:
+                    term = term * image ** e
             result = result + term
         return result
 
@@ -410,7 +414,7 @@ class SeriesT:
     def __init__(self, vars, N, coeffs=None):
         if isinstance(N, bool) or not isinstance(N, int) or N < 1:
             raise ValueError(f"truncation order must be a positive integer, got {N!r}")
-        vars = tuple(vars)
+        vars = _universe(vars)
         if coeffs is None:
             coeffs = [MultiPoly.zero(vars)] * N
         coeffs = list(coeffs)
@@ -464,7 +468,7 @@ class SeriesT:
     __rmul__ = __mul__
 
     def substitute(self, bindings, vars=None):
-        target = tuple(vars) if vars is not None else self.vars
+        target = _universe(vars) if vars is not None else self.vars
         return SeriesT(target, self.N, [c.substitute(bindings, target) for c in self.coeffs])
 
     def is_zero(self):
@@ -497,10 +501,13 @@ class SeriesT:
 # variable; the private helpers below read it as a univariate polynomial.
 
 def _univariate(f):
+    """Check that ``f`` is a nonzero ``MultiPoly`` over exactly one variable."""
     if not isinstance(f, MultiPoly):
         raise TypeError(f"expected a MultiPoly, got {type(f).__name__}")
     if len(f.vars) != 1:
         raise ValueError(f"expected a polynomial in one variable, got universe {f.vars}")
+    if f.is_zero():
+        raise ValueError("zero polynomial")
 
 
 def _degree(f):
@@ -538,9 +545,9 @@ def _remainder(a, b):
 
 
 def sturm_sequence(f):
-    """Sturm chain of ``f``: each step negates the remainder and is scaled
-    to a primitive integer polynomial by a positive factor, which keeps all
-    sign evaluations intact."""
+    """Sturm chain of a nonzero ``f``: each step negates the remainder and
+    is scaled to a primitive integer polynomial by a positive factor, which
+    keeps all sign evaluations intact."""
     _univariate(f)
     chain = [_primitive(f)]
     d = _derivative(f)
@@ -567,8 +574,6 @@ def all_roots_real_negative(f):
     should divide out the power of the variable first.
     """
     _univariate(f)
-    if f.is_zero():
-        raise ValueError("zero polynomial")
     if _degree(f) == 0:
         return True
     if _lead(f) < 0:

@@ -262,6 +262,10 @@ class TamariLattice:
 
     ``trees[i]`` is the tree at poset index ``i``; trees are indexed in
     encoding order.  ``canopies[i]`` caches the canopy word of ``trees[i]``.
+    Every upper cover has the smaller index, so the maximum is 0 and the
+    minimum the last index: a rotation ``(A, (B, C)) -> ((A, B), C)`` first
+    changes the text at the leftmost leaf of A, ``o`` in the lower tree and
+    ``(`` in the upper, and ``(`` sorts first.
     """
 
     __slots__ = ("n", "trees", "index", "poset", "canopies")
@@ -289,10 +293,10 @@ class TamariLattice:
         return self.poset.leq(self.as_index(s), self.as_index(t))
 
     def minimum(self):
-        return self.index[right_comb(self.n)]
+        return len(self.trees) - 1
 
     def maximum(self):
-        return self.index[left_comb(self.n)]
+        return 0
 
     def __repr__(self):
         return f"TamariLattice(n={self.n}, trees={len(self.trees)})"
@@ -342,7 +346,8 @@ def tamari_lattice(n):
 
     Built from per-size tables (``_lattice_tables``) in one pass over the
     sizes; the per-tree ``rotation_covers``, ``canopy`` and ``encode`` are
-    not called, and the tests hold the build to them.
+    not called, and the tests hold the build to them.  In encoding order
+    every upper cover has the smaller index (see ``TamariLattice``).
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"lattice size must be a positive integer, got {n!r}")
@@ -402,16 +407,16 @@ class IntervalStat(NamedTuple):
     sync: bool
 
 
-CSV_HEADER = "n,lo,hi,dx,dy,dybar,dxbar,q,ll,rr,sync"
+CSV_HEADER = ",".join(IntervalStat._fields)
 
 
-def _longest_chain_from(upper, his, rank):
+def _longest_chain_from(upper, his):
     """Longest saturated chain length to each element of ``his``, the up-set
     of some ``lo``, from ``lo``.  Every such chain lies inside the up-set, so
-    the walk visits only ``his``, in topological order (``rank``); ``upper``
-    holds the upper covers of each element."""
+    the walk visits only ``his``, by decreasing index, which reaches each
+    element before its upper covers (``upper``; see ``TamariLattice``)."""
     dist = dict.fromkeys(his, 0)
-    for v in sorted(his, key=rank.__getitem__):
+    for v in sorted(his, reverse=True):
         base = dist[v] + 1
         for w in upper[v]:
             if dist[w] < base:
@@ -438,9 +443,6 @@ def _interval_classes(lat, with_q, table):
     n, poset = lat.n, lat.poset
     width = 4 * poset._width  # the bits of the packed degree key
     r = [word.count("R") << width for word in lat.canopies]  # R(t), in its field
-    rank = [0] * poset.m
-    for i, v in enumerate(poset.topological_order()):
-        rank[v] = i
     index = {}  # packed class -> class id, in table order
     class_id = index.setdefault
     for lo, keys in poset._interval_keys():
@@ -448,7 +450,7 @@ def _interval_classes(lat, with_q, table):
         if with_q:
             # the elements come from the kernel, so the q walk reads the cover
             # lists without the element checks of ``upper_covers``
-            dist = _longest_chain_from(poset._upper, keys, rank)
+            dist = _longest_chain_from(poset._upper, keys)
             ids = {hi: class_id(key | r[hi] | rlo | dist[hi] << width + 8, len(index))
                    for hi, key in keys.items()}
         else:
@@ -554,24 +556,19 @@ def interval_histogram(n):
     return IntervalHistogram(MappingProxyType(classes), tuple(pairs))
 
 
-def _csv_tail(dx, dy, dybar, dxbar, q, ll, rr, sync):
-    """The CSV text of a row after ``n,lo,hi,``: the row's class.  Every
-    writer formats it once per class and reuses it."""
-    return f"{dx},{dy},{dybar},{dxbar},{'' if q is None else q},{ll},{rr},{int(sync)}"
+@lru_cache(maxsize=None)
+def _csv_tail(cls):
+    """The CSV text of a row after ``n,lo,hi,``: its class, the record's
+    fields after ``hi`` as a tuple, formatted once and cached; ``None``
+    writes nothing and a bool writes 0 or 1."""
+    return ",".join("" if v is None else f"{v:d}" for v in cls)
 
 
 def stats_to_csv(records):
     """The CSV text of ``IntervalStat`` records: the header, then one line
     per record, each line terminated.  ``interval_csv`` writes the same text
     for a whole lattice without building the records."""
-    lines = [CSV_HEADER]
-    tails = {}
-    for r in records:
-        cls = r[3:]
-        tail = tails.get(cls)
-        if tail is None:
-            tail = tails[cls] = _csv_tail(*cls)
-        lines.append(f"{r.n},{r.lo},{r.hi},{tail}")
+    lines = [CSV_HEADER] + [f"{r.n},{r.lo},{r.hi},{_csv_tail(r[3:])}" for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -592,7 +589,7 @@ def _csv_rows(lat, with_q):
     yield CSV_HEADER + "\n"
     table, tails = [], []
     for lo, ids in _interval_classes(lat, with_q, table):
-        tails += [_csv_tail(*cls) + "\n" for cls in table[len(tails):]]
+        tails += [_csv_tail(cls) + "\n" for cls in table[len(tails):]]
         head = f"{lat.n},{lo},"
         for hi in sorted(ids):
             yield f"{head}{hi},{tails[ids[hi]]}"

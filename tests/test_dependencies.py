@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "intervalence"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "intervalence"
 HOMES = ("polynomial", "poset", "series", "tamari", "verify")
 
 
@@ -54,6 +55,15 @@ def test_package_imports_only_the_standard_library():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert not foreign, foreign
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # the grammar of Python 3.10, the oldest that pyproject.toml allows;
+    # this checks syntax only, not the library calls the code makes
+    paths = [p for d in ("src", "tests", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def test_bare_import_loads_no_submodule():

@@ -93,6 +93,16 @@ def test_constants_hash_as_their_int():
     # equal non-constant polynomials still share a hash
     x = MultiPoly.variable(("x", "y"), "x")
     assert hash(x + 1) == hash(MultiPoly(("x", "y"), {(1, 0): 1, (0, 0): 1}))
+    # so two constants are equal by value across universes, and equality
+    # stays transitive through their int
+    a, b = MultiPoly.constant(("x",), 3), MultiPoly.constant(("y",), 3)
+    assert a == b and hash(a) == hash(b)
+    assert len({3, a, b}) == len({a, b, 3}) == 1
+    assert MultiPoly.zero(()) == MultiPoly.zero(("u", "v"))
+    assert a != MultiPoly.constant(("y",), 4)
+    # non-constant polynomials still need equal universes
+    assert MultiPoly.variable(("x",), "x") != MultiPoly.variable(("x", "y"), "x")
+    assert a != MultiPoly.variable(("y",), "y") and MultiPoly.variable(("y",), "y") != a
 
 
 def test_arithmetic_small_cases():
@@ -361,6 +371,8 @@ def test_sturm_entry_points_reject_bad_input(call):
         call(MultiPoly.constant((), 3))
     with pytest.raises(TypeError, match="MultiPoly"):
         call([5, 7, 1])
+    with pytest.raises(ValueError, match="zero polynomial"):
+        call(MultiPoly.zero(("z",)))
 
 
 def test_sturm_sequence_sign_changes():

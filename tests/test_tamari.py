@@ -238,6 +238,15 @@ def test_lattice_sizes_and_extremes():
         assert [v for v in range(poset.m) if not poset.upper_covers(v)] == [lat.maximum()]
 
 
+def test_index_order_reverses_the_rotation_order():
+    # encoding order lists every upper cover first, so the q walk may visit
+    # an up-set by decreasing index and the ends of the lattice are 0 and m - 1
+    for n in range(1, 10):
+        lat = tamari_lattice(n)
+        assert all(b < a for a, b in lat.poset.covers), n
+        assert (lat.minimum(), lat.maximum()) == (lat.poset.m - 1, 0)
+
+
 @pytest.mark.parametrize("n", [
     *range(1, 9), *(pytest.param(n, marks=pytest.mark.slow) for n in (9, 10))])
 def test_lattice_matches_per_tree_definitions(n):
@@ -590,6 +599,9 @@ def test_bool_integers_rejected(build):
     lambda: run_suites("ternary", "3"),
     lambda: distribution_table(None, "dx", "dy"),
     lambda: table_to_matrix([1, 2], 2),
+    lambda: MultiPoly("xy", {(1, 0): 1}),
+    lambda: MultiPoly.variable("xbar", "xbar"),
+    lambda: SeriesT("xy", 1),
 ], ids=["solve", "alternative_decomposition", "bridge_identity", "residual",
         "divided_difference", "series_coefficient", "terms_list", "decode",
         "canopy_word_lattice", "synchronous_lattice", "poset_product",
@@ -597,7 +609,8 @@ def test_bool_integers_rejected(build):
         "coefficient_none", "substitute_list", "substitute_none", "permute_vars_list",
         "permute_vars_none", "is_symmetric_list", "is_symmetric_none",
         "interval_degrees_not_a_pair", "run_suites_bool_n_max", "run_suites_float_n_max",
-        "run_suites_str_n_max", "distribution_table_none", "table_to_matrix_list"])
+        "run_suites_str_n_max", "distribution_table_none", "table_to_matrix_list",
+        "multipoly_str_universe", "variable_str_universe", "series_str_universe"])
 def test_arguments_of_the_wrong_type_raise_type_error(call):
     with pytest.raises(TypeError):
         call()
