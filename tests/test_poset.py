@@ -125,6 +125,37 @@ def test_random_hasse_diagrams_are_validated():
     assert implied[2] > 20 and implied[3] > 20 and reversed_ > 100
 
 
+def test_duplicated_shuffled_covers_build_the_same_poset():
+    rng = random.Random(47)
+    fields = ("covers", "_upper", "_lower", "_topo", "_up")
+    for _ in range(200):
+        p = random_poset(rng, max_m=8)
+        covers = _relabelled_covers(rng, p)
+        clean = FinitePoset(p.m, covers)
+        noisy = covers + rng.sample(covers, len(covers) // 2)
+        noisy = [list(c) if rng.random() < 0.3 else c for c in noisy]
+        rng.shuffle(noisy)
+        q = FinitePoset(p.m, noisy)
+        for name in fields:
+            assert getattr(q, name) == getattr(clean, name), name
+
+
+def test_pair_of_mixed_types_is_out_of_range_not_unorderable():
+    # checked before any sort, which could not order (0, 1) against (0, "1")
+    for covers in ([(0, "1")], [(0, 1), (0, "1")], [(0, "1"), (0, 1)]):
+        with pytest.raises(ValueError, match="out of range"):
+            FinitePoset(2, covers)
+
+
+def test_implied_cover_found_in_topological_order():
+    # the chain 4 < 3 < 2 < 1 < 0 with the implied covers (4, 2) and (3, 1):
+    # read by label, the upper covers of 3 and 4 would each pass the check
+    chain = [(4, 3), (3, 2), (2, 1), (1, 0)]
+    for covers in (chain + [(4, 2), (3, 1)], [(3, 1), (4, 2)] + chain[::-1]):
+        with pytest.raises(ValueError, match=r"^cover \(3, 1\) is transitively implied"):
+            FinitePoset(5, covers)
+
+
 def test_topological_order_is_linear_extension():
     rng = random.Random(11)
     for _ in range(25):
