@@ -28,7 +28,7 @@ _EXPORTS = {
     **dict.fromkeys(("TamariLattice", "canopy", "composition", "decode", "encode",
                      "enumerate_trees", "interval_canopy_word", "interval_statistics",
                      "interval_valence_polynomial", "is_synchronous",
-                     "left_border_factors", "reverse", "rotation_covers",
+                     "left_border_factors", "rotation_covers",
                      "tamari_lattice"), "tamari"),
     **dict.fromkeys(("CheckReport", "run_suites", "summarize_reports"), "verify"),
 }

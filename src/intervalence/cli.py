@@ -96,7 +96,7 @@ def _parse_spec(parser, text):
 
 def _cmd_poly(parser, args):
     if args.two_var:
-        if args.spec:
+        if args.spec is not None:
             parser.error("--spec does not apply to --two-var")
         lattice_poly = tamari.valence_polynomial(args.n)
         _, matrix = verify.interval_triangle(args.n)
@@ -112,7 +112,7 @@ def _cmd_poly(parser, args):
             _write(["\n".join(lines)], args.output)
         return 0
     p = tamari.interval_valence_polynomial(args.n)
-    if args.spec:
+    if args.spec is not None:
         bindings = _parse_spec(parser, args.spec)
         remaining = tuple(v for v in INTERVAL_VARS if v not in bindings)
         p = p.substitute(bindings, remaining)

@@ -33,11 +33,14 @@ def _display_key(exp):
 
 
 def _universe(vars):
-    """``vars`` as a tuple, checked to name each variable once; a bare str
-    is ``TypeError``, not a tuple of its letters."""
+    """``vars`` as a tuple of str, checked to name each variable once; a
+    bare str is ``TypeError``, not a tuple of its letters, and so is a name
+    that is not a str."""
     if isinstance(vars, str):
         raise TypeError(f"a universe is a sequence of variable names, not the str {vars!r}")
     vars = tuple(vars)
+    if not all(type(v) is str for v in vars):
+        raise TypeError(f"variable names must be str, got universe {vars!r}")
     if len(set(vars)) != len(vars):
         raise ValueError(f"duplicate variable in universe {vars}")
     return vars
@@ -144,6 +147,8 @@ class MultiPoly:
         """Exponent tuple of the monomial given as a name -> exponent dict."""
         exp = [0] * len(self.vars)
         for name, e in _mapping(exponents, "exponents").items():
+            if type(e) is not int or e < 0:
+                raise ValueError(f"bad exponent {e!r} for {name!r}")
             exp[self._position(name)] = e
         return tuple(exp)
 
@@ -251,11 +256,6 @@ class MultiPoly:
 
     def coefficients(self):
         return sorted(self.terms.values())
-
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def substitute(self, bindings, vars=None):
         """Substitute variables and optionally land in a new universe.
@@ -432,10 +432,6 @@ class SeriesT:
     def __setattr__(self, name, value):
         raise AttributeError("SeriesT is immutable")
 
-    @classmethod
-    def zero(cls, vars, N):
-        return cls(vars, N)
-
     def coefficient(self, k):
         if not 0 <= k < self.N:
             raise ValueError(f"order {k} outside truncation window [0, {self.N})")
@@ -478,9 +474,10 @@ class SeriesT:
         """The coefficients as plain integers; they must all be constants."""
         out = []
         for k, c in enumerate(self.coeffs):
-            if c.total_degree() > 0:
+            value = c._constant_value()
+            if value is None:
                 raise ValueError(f"coefficient of t^{k} is not constant: {c}")
-            out.append(c.terms.get((0,) * len(self.vars), 0))
+            out.append(value)
         return out
 
     def to_json(self):

@@ -228,7 +228,7 @@ def residual(series, coefficient_arrays):
     if not isinstance(series, SeriesT):
         raise TypeError(f"expected a SeriesT, got {type(series).__name__}")
     names, N = series.vars, series.N
-    acc = SeriesT.zero(names, N)
+    acc = SeriesT(names, N)
     power = SeriesT(names, N, [MultiPoly.one(names)] + [MultiPoly.zero(names)] * (N - 1))
     for coeffs in coefficient_arrays:
         padded = (list(coeffs) + [0] * N)[:N]

@@ -144,36 +144,6 @@ def enumerate_trees(n):
     return tuple(_tree_tables(n)[1][n])
 
 
-def right_comb(n):
-    t = None
-    for _ in range(n):
-        t = (None, t)
-    return t
-
-
-def left_comb(n):
-    t = None
-    for _ in range(n):
-        t = (t, None)
-    return t
-
-
-def reverse(t):
-    """Left-right mirror; an anti-automorphism of the rotation order.  Built
-    bottom-up with an explicit stack, so any depth works."""
-    done, stack = [], [(_tree(t), False)]
-    while stack:
-        node, children_done = stack.pop()
-        if node is None:
-            done.append(None)
-        elif children_done:
-            mirrored_left = done.pop()
-            done.append((done.pop(), mirrored_left))
-        else:
-            stack += ((node, True), (_tree(node[0]), False), (_tree(node[1]), False))
-    return done[0]
-
-
 def rotation_covers(t):
     """Trees one rotation above t, in preorder of the rotated node.
 
@@ -213,21 +183,6 @@ def canopy(t):
     return "".join(out)
 
 
-def is_indecomposable(t):
-    """Whether the root's left child is a leaf (single left-border factor)."""
-    if _tree(t) is None:
-        raise ValueError("the empty tree has no factors")
-    return _tree(t[0]) is None
-
-
-def graft(a, b):
-    """Replace the leftmost leaf of b by a, checking the root of a as a tree."""
-    _tree(a)
-    for node in reversed(_left_spine(b)):
-        a = (a, node[1])
-    return a
-
-
 def left_border_factors(t):
     """Indecomposable factors cut along the left spine, innermost first.
 
@@ -240,21 +195,6 @@ def left_border_factors(t):
 def composition(t):
     """Sizes of the left-border factors; a composition of size(t)."""
     return tuple(size(f) for f in left_border_factors(t))
-
-
-def is_composition_coarser(alpha, beta):
-    """Whether alpha is obtained from beta by merging adjacent parts."""
-    if sum(alpha) != sum(beta):
-        return False
-
-    def prefix_sums(parts):
-        acc, out = 0, set()
-        for p in parts:
-            acc += p
-            out.add(acc)
-        return out
-
-    return prefix_sums(alpha) <= prefix_sums(beta)
 
 
 class TamariLattice:
@@ -577,16 +517,15 @@ def stats_to_csv(records):
     return "\n".join(lines) + "\n"
 
 
-def interval_csv(n, with_q=None):
-    """An iterator over the CSV text of ``interval_statistics(n, with_q)``:
-    the header, then one row per interval in (lo, hi) order, each piece a
-    line with its terminator, so that the pieces joined are
-    ``stats_to_csv(interval_statistics(n, with_q))``.  The arguments are
-    checked at the call.  Rows are read off the class table of
-    ``_interval_classes``, so no ``IntervalStat`` is built and the text
-    after ``n,lo,hi,`` is formatted once per class (146 classes at n = 8,
-    223 at n = 9)."""
-    with_q = _check_statistics_args(n, with_q)
+def interval_csv(n):
+    """An iterator over the CSV text of ``interval_statistics(n)``: the
+    header, then one row per interval in (lo, hi) order, each piece a line
+    with its terminator, so that the pieces joined are
+    ``stats_to_csv(interval_statistics(n))``.  ``n`` is checked at the
+    call.  Rows are read off the class table of ``_interval_classes``, so
+    no ``IntervalStat`` is built and the text after ``n,lo,hi,`` is
+    formatted once per class (146 classes at n = 8, 223 at n = 9)."""
+    with_q = _check_statistics_args(n, None)
     return _csv_rows(tamari_lattice(n), with_q)
 
 

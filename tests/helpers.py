@@ -1,11 +1,13 @@
 """Shared test utilities: random Hasse diagrams, closed-form oracles, the
-per-tree build of a rotation lattice and the variable z of the one-variable
-test polynomials."""
+per-tree build of a rotation lattice, the tree operations that only the
+tests use and the variable z of the one-variable test polynomials."""
 
 from collections import Counter
+from itertools import accumulate
 from math import comb, factorial
 
-from intervalence import FinitePoset, MultiPoly, canopy, encode, rotation_covers, sturm_sequence
+from intervalence import (FinitePoset, MultiPoly, canopy, decode, encode, left_border_factors,
+                          rotation_covers, sturm_sequence)
 from intervalence.poset import INTERVAL_VARS
 
 Z = MultiPoly.variable(("z",), "z")
@@ -82,6 +84,55 @@ def reference_lattice(n):
     index = {t: i for i, t in enumerate(trees)}
     covers = [(i, index[c]) for i, t in enumerate(trees) for c in rotation_covers(t)]
     return trees, index, tuple(map(canopy, trees)), FinitePoset(len(trees), covers)
+
+
+def right_comb(n):
+    """The tree of size n with no internal left child: the lattice minimum."""
+    t = None
+    for _ in range(n):
+        t = (None, t)
+    return t
+
+
+def left_comb(n):
+    """The tree of size n with no internal right child: the lattice maximum."""
+    t = None
+    for _ in range(n):
+        t = (t, None)
+    return t
+
+
+_MIRROR = str.maketrans("()", ")(")
+
+
+def reverse(t):
+    """The left-right mirror of t, read off its text: the encoding written
+    backwards with its brackets swapped.  It never touches a lattice."""
+    return decode(encode(t)[::-1].translate(_MIRROR))
+
+
+def graft(a, b):
+    """b with its leftmost leaf replaced by a, which stays the innermost
+    object: a folded over the left-border factors of b, innermost first."""
+    encode(a)  # a must be a tree
+    for factor in left_border_factors(b):
+        a = (a, factor[1])
+    return a
+
+
+def is_indecomposable(t):
+    """Whether the root of t has a leaf as left child (a single left-border
+    factor); ``ValueError`` for the empty tree, which has no root."""
+    encode(t)  # t must be a tree
+    if t is None:
+        raise ValueError("the empty tree has no factors")
+    return t[0] is None
+
+
+def is_composition_coarser(alpha, beta):
+    """Whether alpha is obtained from beta by merging adjacent parts: the
+    same total, and each partial sum of alpha a partial sum of beta."""
+    return sum(alpha) == sum(beta) and set(accumulate(alpha)) <= set(accumulate(beta))
 
 
 def catalan(n):

@@ -64,6 +64,8 @@ def test_poly_rejects_bad_spec(capsys):
     assert run_error("poly", "--n", "3", "--spec", "z=1") == 2
     assert run_error("poly", "--n", "3", "--spec", "x") == 2
     assert run_error("poly", "--n", "3", "--spec", "x=two") == 2
+    assert run_error("poly", "--n", "2", "--spec", "") == 2
+    assert run_error("poly", "--n", "2", "--two-var", "--spec", "") == 2
     capsys.readouterr()
     assert run_error("poly", "--n", "3", "--two-var", "--spec", "x=2") == 2
     assert "--spec does not apply to --two-var" in capsys.readouterr().err

@@ -43,6 +43,12 @@ def test_construction_rejects_bad_exponents():
         P(("u",), {(-1,): 1})
 
 
+@pytest.mark.parametrize("e", ["2", -1, 2.0, True], ids=["str", "negative", "float", "bool"])
+def test_coefficient_rejects_bad_exponents(e):
+    with pytest.raises(ValueError, match="bad exponent"):
+        P(("x",), {(2,): 5}).coefficient({"x": e})
+
+
 def test_construction_rejects_non_integer_coefficient():
     with pytest.raises(ValueError, match="non-integer coefficient 1.5"):
         MultiPoly(("z",), {(1,): 1.5})

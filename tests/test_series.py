@@ -27,9 +27,8 @@ from intervalence.series import (
     MODE_UNIVERSES,
     SYNC_RESIDUAL_COEFFS,
 )
-from intervalence.tamari import is_indecomposable
 
-from helpers import bicubic_count, synchronous_count
+from helpers import bicubic_count, is_indecomposable, synchronous_count
 
 FULL_VARS = ("u", "v", "x", "y", "ybar")
 

@@ -39,7 +39,6 @@ from intervalence import (
     is_synchronous,
     left_border_factors,
     residual,
-    reverse,
     rotation_covers,
     solve,
     tamari_lattice,
@@ -51,13 +50,8 @@ from intervalence.tamari import (
     IntervalClass,
     IntervalStat,
     _interval_classes,
-    graft,
-    is_composition_coarser,
-    is_indecomposable,
     interval_csv,
     interval_histogram,
-    left_comb,
-    right_comb,
     size,
     stats_to_csv,
     valence_polynomial,
@@ -65,8 +59,9 @@ from intervalence.tamari import (
 from intervalence.verify import (distribution_table, run_suites, summarize_reports,
                                  table_to_matrix)
 
-from helpers import (catalan, interval_count, interval_degree_histogram, reference_lattice,
-                     synchronous_count)
+from helpers import (catalan, graft, interval_count, interval_degree_histogram,
+                     is_composition_coarser, is_indecomposable, left_comb, reference_lattice,
+                     reverse, right_comb, synchronous_count)
 
 LEAF = None
 
@@ -189,7 +184,7 @@ def test_size_composition_and_graft_work_at_depth_5000():
         assert node[1] is None
         node = node[0]
     assert node is deep_right
-    # the walks of encode, canopy, reverse and rotation_covers
+    # the walks of encode, canopy and rotation_covers, and of decode in reverse
     assert encode(deep_right) == "(o " * 5000 + "o" + ")" * 5000
     assert encode(deep_left) == "(" * 5000 + "o" + " o)" * 5000
     assert canopy(deep_right) == "L" * 5000 + "R"
@@ -449,9 +444,9 @@ def test_interval_statistics_validation():
     for with_q in ("yes", 1, 0):
         with pytest.raises(TypeError):
             interval_statistics(3, with_q)
-        with pytest.raises(TypeError):
-            interval_csv(3, with_q)
     for n in (0, 10, 2.0):
+        with pytest.raises(ValueError):
+            interval_csv(n)
         with pytest.raises(ValueError):
             interval_histogram(n)
 
@@ -601,6 +596,7 @@ def test_bool_integers_rejected(build):
     lambda: distribution_table(None, "dx", "dy"),
     lambda: table_to_matrix([1, 2], 2),
     lambda: MultiPoly("xy", {(1, 0): 1}),
+    lambda: MultiPoly((1, 2), {(1, 0): 1}),
     lambda: MultiPoly.variable("xbar", "xbar"),
     lambda: SeriesT("xy", 1),
     lambda: MultiPoly.variable(("x", "y"), "x").support("xy"),
@@ -612,8 +608,8 @@ def test_bool_integers_rejected(build):
         "permute_vars_none", "is_symmetric_list", "is_symmetric_none",
         "interval_degrees_not_a_pair", "run_suites_bool_n_max", "run_suites_float_n_max",
         "run_suites_str_n_max", "distribution_table_none", "table_to_matrix_list",
-        "multipoly_str_universe", "variable_str_universe", "series_str_universe",
-        "support_str"])
+        "multipoly_str_universe", "multipoly_int_names", "variable_str_universe",
+        "series_str_universe", "support_str"])
 def test_arguments_of_the_wrong_type_raise_type_error(call):
     with pytest.raises(TypeError):
         call()
@@ -661,12 +657,11 @@ def test_stats_to_csv_layout():
     assert lines[2] == "2,1,0,1,0,0,1,1,0,0,0"
     q_blank = stats_to_csv(interval_statistics(2, with_q=False)).strip().split("\n")
     assert q_blank[1] == "2,0,0,0,0,1,0,,0,1,1"
-    # the rows written per class, line by line, with and without q
+    # the rows written per class, line by line
     for n in range(1, 7):
-        for with_q in (True, False):
-            pieces = list(interval_csv(n, with_q))
-            assert all(p.count("\n") == 1 and p.endswith("\n") for p in pieces)
-            assert "".join(pieces) == stats_to_csv(interval_statistics(n, with_q))
+        pieces = list(interval_csv(n))
+        assert all(p.count("\n") == 1 and p.endswith("\n") for p in pieces)
+        assert "".join(pieces) == stats_to_csv(interval_statistics(n))
 
 
 # ------------------------------------------------------------- enumerators
